@@ -9,8 +9,11 @@
 //! * `--json <path>` — additionally write the result tables as JSON;
 //! * binary-specific `--name value` pairs, read via [`BenchArgs::get`].
 //!
-//! Parsing is deliberately minimal (no external crates — the container is
-//! offline): flags are `--name value` pairs in any order.
+//! Parsing is deliberately minimal (no external crates): flags are
+//! `--name value` pairs in any order. `--help` (or `-h`) prints a usage
+//! line and exits 0. Input errors never panic: a malformed argument list
+//! or an unparsable value prints the error and the usage line to stderr
+//! and exits with status 2 ([`BenchArgs::fail`]).
 
 use crate::json::Json;
 use fg_metrics::Table;
@@ -23,18 +26,26 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with usage context) on a flag without a value or a
-    /// positional argument — every argument must be a `--name value` pair.
+    /// Parses the process arguments. `--help` or `-h` prints the usage
+    /// line and exits 0; a malformed list is an input error
+    /// ([`BenchArgs::fail`]).
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            println!("{}", usage());
+            std::process::exit(0);
+        }
+        Self::parse_from(args).unwrap_or_else(|e| Self::fail(&e))
     }
 
-    /// Parses an explicit argument list (tests).
-    pub fn parse_from<I, S>(args: I) -> Self
+    /// Parses an explicit argument list.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending argument when the list is not a
+    /// run of `--name value` pairs: a positional argument, or a flag
+    /// without a value.
+    pub fn parse_from<I, S>(args: I) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -44,14 +55,22 @@ impl BenchArgs {
         while let Some(arg) = iter.next() {
             let name = arg
                 .strip_prefix("--")
-                .unwrap_or_else(|| panic!("expected --flag, got {arg:?}"))
+                .ok_or_else(|| format!("expected --flag, got {arg:?}"))?
                 .to_string();
             let value = iter
                 .next()
-                .unwrap_or_else(|| panic!("flag --{name} needs a value"));
+                .ok_or_else(|| format!("flag --{name} needs a value"))?;
             flags.push((name, value));
         }
-        BenchArgs { flags }
+        Ok(BenchArgs { flags })
+    }
+
+    /// Reports a command-line input error and exits: the message and the
+    /// usage line go to stderr, and the exit status is 2.
+    pub fn fail(msg: &str) -> ! {
+        eprintln!("error: {msg}");
+        eprintln!("{}", usage());
+        std::process::exit(2)
     }
 
     /// The raw value of `--name`, if given (last occurrence wins).
@@ -63,16 +82,14 @@ impl BenchArgs {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The parsed value of `--name`, or `default` when absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not parse as `T`.
+    /// The parsed value of `--name`, or `default` when absent. A value
+    /// that does not parse as `T` is an input error
+    /// ([`BenchArgs::fail`]).
     pub fn get<T: FromStr>(&self, name: &str, default: T) -> T {
         match self.raw(name) {
             Some(v) => v
                 .parse()
-                .unwrap_or_else(|_| panic!("--{name} {v:?} is not a valid value")),
+                .unwrap_or_else(|_| Self::fail(&format!("--{name} {v:?} is not a valid value"))),
             None => default,
         }
     }
@@ -124,27 +141,19 @@ impl BenchArgs {
     /// The mixed read/write workload, when `--queries` is positive:
     /// `--query-mix kind:weight,...` (kinds `dist`, `path`, `stretch`,
     /// `deg`, `comp`; default `dist:80,path:10,stretch:10`),
-    /// `--query-seed` (default `default_seed`), `--query-hot` (sticky
-    /// hot source set size, default 32, 0 = uniform sources),
-    /// `--query-cache` (landmark vectors per graph side, default 128),
-    /// and `--query-naive-every` (run the naive-baseline pass on every
-    /// k-th block, default 8; 1 = every block).
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the parse message) on a malformed `--query-mix`.
+    /// `--query-seed` (default `default_seed`) and `--query-hot` (sticky
+    /// hot source set size, default 32, 0 = uniform sources). A
+    /// malformed `--query-mix` is an input error ([`BenchArgs::fail`]).
     pub fn query_workload(&self, default_seed: u64) -> Option<crate::QueryWorkload> {
         let queries = self.queries();
         (queries > 0).then(|| {
             let mut wl = crate::QueryWorkload::new(queries);
             if let Some(spec) = self.raw("query-mix") {
                 wl.mix = crate::QueryMix::parse(spec)
-                    .unwrap_or_else(|e| panic!("--query-mix {spec:?}: {e}"));
+                    .unwrap_or_else(|e| Self::fail(&format!("--query-mix {spec:?}: {e}")));
             }
             wl.seed = self.query_seed(default_seed);
             wl.hot = self.get("query-hot", wl.hot);
-            wl.cache_capacity = self.get("query-cache", wl.cache_capacity).max(1);
-            wl.naive_every = self.get("query-naive-every", wl.naive_every).max(1);
             wl
         })
     }
@@ -163,6 +172,20 @@ impl BenchArgs {
             eprintln!("wrote {path}");
         }
     }
+}
+
+/// The usage line printed for `--help` and after every input error.
+fn usage() -> String {
+    let bin = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&bin).file_name().map_or_else(
+        || "fg-bench".to_string(),
+        |name| name.to_string_lossy().into_owned(),
+    );
+    format!(
+        "usage: {bin} [--<flag> <value>]...\n\
+         shared flags: --seed <u64>, --scale <f64>, --json <path>; \
+         the binary's module docs list the rest"
+    )
 }
 
 /// A [`Table`] as a JSON object.
@@ -189,9 +212,13 @@ pub fn table_json(table: &Table) -> Json {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> BenchArgs {
+        BenchArgs::parse_from(args.iter().copied()).unwrap()
+    }
+
     #[test]
     fn parses_flag_pairs() {
-        let args = BenchArgs::parse_from(["--seed", "9", "--scale", "0.5", "--json", "out.json"]);
+        let args = parse(&["--seed", "9", "--scale", "0.5", "--json", "out.json"]);
         assert_eq!(args.seed(7), 9);
         assert_eq!(args.scale_n(64), 32);
         assert_eq!(args.json_path(), Some("out.json"));
@@ -200,14 +227,14 @@ mod tests {
 
     #[test]
     fn threads_defaults_to_one_and_clamps() {
-        assert_eq!(BenchArgs::parse_from(Vec::<String>::new()).threads(), 1);
-        assert_eq!(BenchArgs::parse_from(["--threads", "4"]).threads(), 4);
-        assert_eq!(BenchArgs::parse_from(["--threads", "0"]).threads(), 1);
+        assert_eq!(parse(&[]).threads(), 1);
+        assert_eq!(parse(&["--threads", "4"]).threads(), 4);
+        assert_eq!(parse(&["--threads", "0"]).threads(), 1);
     }
 
     #[test]
     fn defaults_when_absent() {
-        let args = BenchArgs::parse_from(Vec::<String>::new());
+        let args = parse(&[]);
         assert_eq!(args.seed(7), 7);
         assert_eq!(args.scale_n(64), 64);
         assert_eq!(args.json_path(), None);
@@ -215,20 +242,22 @@ mod tests {
 
     #[test]
     fn scale_keeps_floor() {
-        let args = BenchArgs::parse_from(["--scale", "0.01"]);
+        let args = parse(&["--scale", "0.01"]);
         assert_eq!(args.scale_n(64), 8);
     }
 
     #[test]
     fn last_flag_wins() {
-        let args = BenchArgs::parse_from(["--seed", "1", "--seed", "2"]);
+        let args = parse(&["--seed", "1", "--seed", "2"]);
         assert_eq!(args.seed(0), 2);
     }
 
     #[test]
-    #[should_panic(expected = "needs a value")]
-    fn missing_value_panics() {
-        let _ = BenchArgs::parse_from(["--seed"]);
+    fn missing_value_is_an_error() {
+        let err = BenchArgs::parse_from(["--seed"]).unwrap_err();
+        assert!(err.contains("--seed needs a value"), "{err}");
+        let err = BenchArgs::parse_from(["seed", "1"]).unwrap_err();
+        assert!(err.contains("expected --flag"), "{err}");
     }
 
     #[test]

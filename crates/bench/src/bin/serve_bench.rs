@@ -302,7 +302,8 @@ fn main() {
     let backend = args.get("backend", "engine".to_string());
     let json_path = args.json_path().unwrap_or("BENCH_serve.json");
     let mix = match args.raw("query-mix") {
-        Some(spec) => QueryMix::parse(spec).unwrap_or_else(|e| panic!("--query-mix {spec:?}: {e}")),
+        Some(spec) => QueryMix::parse(spec)
+            .unwrap_or_else(|e| BenchArgs::fail(&format!("--query-mix {spec:?}: {e}"))),
         None => QueryMix::parse("dist:60,path:10,stretch:10,deg:10,comp:10").expect("default mix"),
     };
     let mut wl = QueryWorkload::new(0);

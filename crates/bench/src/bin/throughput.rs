@@ -10,13 +10,12 @@
 //! With `--queries N` the run becomes a mixed read/write workload: `N`
 //! reads are interleaved across the write batches (e.g. `--events 50000
 //! --queries 200000` is an 80/20 read/write mix) and answered through
-//! four read paths — the landmark `QueryCache` on the live adjacency,
-//! the `FrozenQueryCache` serving tier (per-batch image-only CSR
-//! publishes, persistent ghost landmark state, dense bitset kernels),
-//! the uncached `QueryOps` API (bidirectional BFS), and the naive
-//! per-query-BFS baseline (sampled; one fresh full BFS per query) — so
-//! the JSON records `queries_per_sec` for each, the speedups, and the
-//! (hard-gated) zero answer-mismatch count.
+//! two timed read paths — served (one `View::freeze` per write batch,
+//! then the `FrozenView` CSR kernels) and the naive per-query-BFS
+//! baseline (sampled; one fresh full BFS per query) — each checked
+//! against the live `QueryOps` answers, so the JSON records
+//! `queries_per_sec` for both, the speedup, and the (hard-gated) zero
+//! answer-mismatch count.
 //!
 //! Flags (all optional): `--workloads a,b,c`, `--n <initial size>`,
 //! `--events <count>`, `--batch <size>`, `--backend engine|dist|both`,
@@ -24,10 +23,9 @@
 //! `--threads-sweep w1,w2,...` (replay the dist backend once per width
 //! and emit a `threads_sweep` comparison section),
 //! `--queries <count>` / `--query-mix dist:80,path:10,stretch:10` /
-//! `--query-seed <u64>` / `--query-hot <k>` / `--query-cache <cap>` /
-//! `--query-naive-every <k>` (the mixed read workload),
+//! `--query-seed <u64>` / `--query-hot <k>` (the mixed read workload),
 //! `--profile 1` (per-phase wall times — insert/gather/strip/plan/merge
-//! on the write side, freeze/query/rebuild buckets on the read side —
+//! on the write side, freeze/query buckets on the read side —
 //! into a `profile` JSON section), `--compact 1` (run the engine
 //! backend with the default arena [`CompactionPolicy`] and record the
 //! post-run arena occupancy),
@@ -35,7 +33,7 @@
 //! `--wal <dir>` (run the engine backend through a [`DurableHealer`]
 //! so every event is logged-then-fsynced before acknowledgement) with
 //! `--checkpoint-every <k>` / `--wal-sync-every <k>` tuning, plus the
-//! shared `--seed` / `--scale` / `--json <path>`.
+//! shared `--seed` / `--scale` / `--json <path>`. `--help` prints usage.
 
 use fg_bench::json::Json;
 use fg_bench::{
@@ -130,14 +128,7 @@ fn profile_json(run: &BackendRun) -> Option<Json> {
             "read",
             Json::obj()
                 .field("freeze_seconds", Json::Float(q.freeze_seconds))
-                .field(
-                    "rebuild_seconds",
-                    Json::Float(q.maintain_seconds + q.frozen_maintain_seconds),
-                )
-                .field(
-                    "query_seconds",
-                    Json::Float(q.cached_seconds + q.frozen_seconds),
-                ),
+                .field("query_seconds", Json::Float(q.served_seconds)),
         );
     }
     Some(entry)
@@ -151,6 +142,11 @@ fn main() {
     let batch = args.get("batch", 256usize);
     let threads = args.threads();
     let backend = args.get("backend", "engine".to_string());
+    if !["engine", "dist", "both"].contains(&backend.as_str()) {
+        BenchArgs::fail(&format!(
+            "unknown --backend {backend:?}; expected engine, dist or both"
+        ));
+    }
     let names = args.get("workloads", "churn".to_string());
     let json_path = args.json_path().unwrap_or("BENCH_throughput.json");
     let host_cpus = fg_bench::host_cpus();
@@ -181,20 +177,15 @@ fn main() {
         ],
     );
     let mut query_table = Table::new(
-        "Mixed read/write — landmark cache (live vs frozen CSR) vs uncached API vs naive BFS",
+        "Mixed read/write — served (freeze + FrozenView kernels) vs naive BFS",
         [
             "workload",
             "backend",
             "queries",
             "mix",
-            "cached q/s",
-            "frozen q/s",
-            "api q/s",
+            "served q/s",
             "naive q/s",
             "vs naive",
-            "frozen/cached",
-            "hits",
-            "misses",
             "mismatches",
         ],
     );
@@ -256,11 +247,6 @@ fn main() {
         if dist_backend && sweep.is_none() {
             runs.push(run_dist(&sc, batch, threads, workload.as_ref(), profile));
         }
-        assert!(
-            !runs.is_empty() || sweep.is_some(),
-            "unknown --backend {backend:?}"
-        );
-
         // The threads sweep: the *same* trace through the dist backend at
         // every requested width. Results are bit-identical by the
         // executor's determinism contract; only wall-clock may move.
@@ -308,7 +294,7 @@ fn main() {
             if let Some(q) = &run.queries {
                 assert_eq!(
                     q.mismatches, 0,
-                    "{name}/{}: read paths diverged (cached/frozen/api/naive)",
+                    "{name}/{}: read paths diverged from the live answers (served/naive)",
                     result.backend
                 );
                 query_table.push_row([
@@ -316,14 +302,9 @@ fn main() {
                     result.backend.clone(),
                     q.queries.to_string(),
                     q.mix.clone(),
-                    format!("{:.0}", q.cached_qps),
-                    format!("{:.0}", q.frozen_qps),
-                    format!("{:.0}", q.api_qps),
+                    format!("{:.0}", q.served_qps),
                     format!("{:.0}", q.naive_qps),
                     f2(q.speedup),
-                    f2(q.speedup_frozen_vs_cached),
-                    q.cache.hits.to_string(),
-                    q.cache.misses.to_string(),
                     q.mismatches.to_string(),
                 ]);
             }
@@ -361,8 +342,7 @@ fn main() {
             .field("queries", Json::Int(wl.queries as i64))
             .field("query_mix", Json::str(wl.mix.spec()))
             .field("query_seed", Json::Int(wl.seed as i64))
-            .field("query_hot", Json::Int(wl.hot as i64))
-            .field("query_cache", Json::Int(wl.cache_capacity as i64));
+            .field("query_hot", Json::Int(wl.hot as i64));
     }
     let mut report = Json::obj()
         .field("bench", Json::str("throughput"))

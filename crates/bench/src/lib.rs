@@ -15,8 +15,9 @@
 //! machine-readable `BENCH_*.json` via [`json`]. The [`queries`] module
 //! adds the read side: mixed read/write workloads
 //! ([`ScenarioRunner::run_mixed`]) serving configurable query streams
-//! through the landmark cache, the uncached query API, and the naive
-//! per-query-BFS baseline in one differential, separately-timed run.
+//! through the served path (per-batch freeze plus `FrozenView` kernels)
+//! and the naive per-query-BFS baseline, each timed separately and
+//! checked against the live query API.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

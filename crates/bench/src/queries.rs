@@ -1,25 +1,23 @@
 //! Mixed read/write workloads: configurable query streams interleaved
-//! with churn, answered through **four** read paths — the landmark
-//! [`QueryCache`] over the live adjacency, the [`FrozenQueryCache`]
-//! serving tier (image-only CSR publishes per batch, dense bitset BFS
-//! memos, persistent ghost landmarks), the uncached `QueryOps` API
-//! (bidirectional BFS), and the naive per-query-BFS baseline (a fresh
-//! full single-source BFS per query, the pre-query-API way of reading
-//! distances out of the offline sampler) — so every run measures both
-//! speedups *and* differentially checks the paths against each other.
+//! with churn, answered through two timed read paths, each checked
+//! against the live `QueryOps` answer as an untimed oracle:
+//!
+//! * **served** — one `View::freeze` per write batch, which is the
+//!   publish cost the server pays, then the [`FrozenView`] CSR kernels
+//!   every served read runs on;
+//! * **naive** — one fresh full single-source BFS per query, the
+//!   pre-query-API way of reading distances out of the offline sampler.
 //!
 //! The pieces:
 //!
 //! * [`QueryMix`] — a weighted mix spec (`"dist:80,path:10,stretch:10"`)
 //!   over the [`QueryKind`]s the read API serves;
 //! * [`QueryWorkload`] — how many queries to interleave, the mix, the
-//!   seed, the hot-source skew and the cache capacity (wired through
-//!   `--queries` / `--query-mix` / `--query-seed` / `--query-hot` /
-//!   `--query-cache`);
-//! * [`QueryStats`] — what a mixed run measured: queries/sec for all
-//!   four paths, the speedups, cache behaviour counters and the
-//!   (always zero) answer-mismatch count, serialised into the bench
-//!   JSON next to the write-side throughput.
+//!   seed and the hot-source skew (wired through `--queries` /
+//!   `--query-mix` / `--query-seed` / `--query-hot`);
+//! * [`QueryStats`] — what a mixed run measured: queries/sec for both
+//!   paths, the speedup and the (always zero) answer-mismatch count,
+//!   serialised into the bench JSON next to the write-side throughput.
 //!
 //! Query endpoints are drawn from the live node set at each interleave
 //! point: sources from a per-block *hot set* (read traffic concentrates
@@ -27,7 +25,7 @@
 //! exploits), targets uniformly.
 
 use crate::json::Json;
-use fg_core::{CacheStats, FrozenQueryCache, GraphView, QueryCache, QueryOps};
+use fg_core::{FrozenView, GraphView, QueryOps};
 use fg_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -165,28 +163,17 @@ pub struct QueryWorkload {
     /// Hot-source set size per interleave block; `0` draws sources
     /// uniformly instead.
     pub hot: usize,
-    /// [`QueryCache`] capacity (distance vectors per graph side).
-    pub cache_capacity: usize,
-    /// Run the (expensive) naive-baseline pass on every `naive_every`-th
-    /// interleave block. The cached and API passes always serve every
-    /// query; the baseline is sampled so its full-BFS churn between
-    /// write batches does not distort the write-side timings. `1`
-    /// measures it on every block.
-    pub naive_every: usize,
 }
 
 impl QueryWorkload {
-    /// `queries` reads with the default mix, seed 1, a 32-source sticky
-    /// hot set, a 128-vector cache, and the naive baseline sampled on
-    /// every 8th block.
+    /// `queries` reads with the default mix, seed 1 and a 32-source
+    /// sticky hot set.
     pub fn new(queries: usize) -> QueryWorkload {
         QueryWorkload {
             queries,
             mix: QueryMix::default_mix(),
             seed: 1,
             hot: 32,
-            cache_capacity: 128,
-            naive_every: 8,
         }
     }
 }
@@ -260,8 +247,8 @@ impl QueryStream {
     }
 }
 
-/// One query's answer — held so the cached and naive passes can be
-/// compared after both are timed.
+/// One query's answer — held so each read path can be compared with
+/// the oracle after it is timed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// A [`QueryKind::Distance`] answer.
@@ -290,38 +277,22 @@ impl Answer {
     }
 }
 
-pub(crate) fn answer_cached(cache: &mut QueryCache, view: &impl GraphView, q: &Query) -> Answer {
+/// The served read path: the [`FrozenView`] CSR kernels over the
+/// snapshot frozen for the current epoch — what the server answers
+/// every read from.
+pub(crate) fn answer_served(view: &FrozenView, q: &Query) -> Answer {
     match q.kind {
-        QueryKind::Distance => Answer::Dist(cache.distance(view, q.u, q.v)),
-        QueryKind::Path => Answer::Path(cache.path(view, q.u, q.v)),
-        QueryKind::Stretch => Answer::Stretch(cache.stretch(view, q.u, q.v)),
+        QueryKind::Distance => Answer::Dist(view.distance(q.u, q.v)),
+        QueryKind::Path => Answer::Path(view.path(q.u, q.v)),
+        QueryKind::Stretch => Answer::Stretch(view.stretch(q.u, q.v)),
         QueryKind::Degree => Answer::Degree(view.degree(q.u)),
-        QueryKind::Component => Answer::Component(cache.same_component(view, q.u, q.v)),
+        QueryKind::Component => Answer::Component(view.same_component(q.u, q.v)),
     }
 }
 
-/// The frozen read path: the dedicated [`FrozenQueryCache`] serving
-/// tier, answering entirely from its published epoch snapshot — dense
-/// per-epoch image memos over the bitset CSR kernels plus persistent
-/// ghost landmarks, never touching the live adjacency. Scalar answers
-/// (distance, stretch, degree, component) equal [`answer_cached`]'s
-/// exactly; paths are equally short and walk real edges but may pick
-/// different nodes (the tier's resident landmark set differs from the
-/// live cache's, so gradient descent can start from a different
-/// source).
-pub(crate) fn answer_frozen(tier: &mut FrozenQueryCache, q: &Query) -> Answer {
-    match q.kind {
-        QueryKind::Distance => Answer::Dist(tier.distance(q.u, q.v)),
-        QueryKind::Path => Answer::Path(tier.path(q.u, q.v)),
-        QueryKind::Stretch => Answer::Stretch(tier.stretch(q.u, q.v)),
-        QueryKind::Degree => Answer::Degree(tier.degree(q.u)),
-        QueryKind::Component => Answer::Component(tier.same_component(q.u, q.v)),
-    }
-}
-
-/// The uncached query API: `QueryOps` per-pair reads (bidirectional BFS,
-/// no landmark state). The middle tier of the three measured read paths,
-/// and the in-process reference the served (`fg-serve`) differential
+/// The live query API: `QueryOps` per-pair reads (bidirectional BFS).
+/// The oracle mixed runs check the served and naive paths against, and
+/// the in-process reference the served (`fg-serve`) differential
 /// harnesses compare against.
 pub fn answer_api(view: &impl GraphView, q: &Query) -> Answer {
     match q.kind {
@@ -410,8 +381,6 @@ pub struct QueryStats {
     pub seed: u64,
     /// Hot-source set size (0 = uniform sources).
     pub hot: usize,
-    /// Cache capacity (vectors per side).
-    pub cache_capacity: usize,
     /// Issued queries per kind, in [`QUERY_KINDS`] order.
     pub by_kind: Vec<(&'static str, usize)>,
     /// Queries whose answer was `None`/unreachable.
@@ -419,70 +388,26 @@ pub struct QueryStats {
     /// Queries the sampled naive-baseline pass answered (`naive_qps` is
     /// measured over these).
     pub naive_queries: usize,
-    /// Answers that disagreed across the three read paths — **always
+    /// Answers that disagreed with the live `QueryOps` oracle — **always
     /// zero**; recorded (and gated in CI) rather than assumed.
     pub mismatches: usize,
-    /// Wall-clock seconds answering through the landmark cache
-    /// (including its misses and in-pass BFS rebuilds; maintenance is
-    /// accounted separately in [`QueryStats::maintain_seconds`]).
-    pub cached_seconds: f64,
-    /// Wall-clock seconds spent maintaining the cache from the write
-    /// batches' typed outcomes (`note_batch`: invalidation folds and
-    /// relaxation repairs) — the cached path's write-side cost, charged
-    /// to `cached_qps` so the speedups reflect the full price of
-    /// serving cached.
-    pub maintain_seconds: f64,
-    /// Wall-clock seconds answering through the uncached `QueryOps` API
-    /// (per-query bidirectional BFS).
-    pub api_seconds: f64,
+    /// Wall-clock seconds freezing the post-batch view, once per write
+    /// batch — the publish cost the server pays, charged to
+    /// [`QueryStats::served_qps`].
+    pub freeze_seconds: f64,
+    /// Wall-clock seconds answering from the frozen snapshots.
+    pub served_seconds: f64,
     /// Wall-clock seconds answering by the naive baseline: one fresh
     /// full single-source BFS per query — what reads cost before the
     /// query API existed (the offline sampler's machinery).
     pub naive_seconds: f64,
-    /// Wall-clock seconds publishing the per-batch epoch snapshots
-    /// ([`FrozenQueryCache::publish`]: an image-only CSR copy — the
-    /// frozen path's analogue of an index rebuild; the ghost is never
-    /// re-frozen).
-    pub freeze_seconds: f64,
-    /// Wall-clock seconds maintaining the frozen tier's persistent
-    /// ghost state from the write batches' typed outcomes
-    /// ([`FrozenQueryCache::note_batch`]: adjacency extension plus
-    /// in-place landmark relaxation) — the frozen analogue of
-    /// [`QueryStats::maintain_seconds`].
-    pub frozen_maintain_seconds: f64,
-    /// Wall-clock seconds answering through the frozen serving tier.
-    pub frozen_seconds: f64,
-    /// `queries / (cached_seconds + maintain_seconds)` — cached serving
-    /// throughput inclusive of cache maintenance.
-    pub cached_qps: f64,
-    /// `queries / (frozen_seconds + freeze_seconds +
-    /// frozen_maintain_seconds)` — frozen serving throughput inclusive of
-    /// snapshot builds and cache maintenance, so it is directly
-    /// comparable to [`QueryStats::cached_qps`].
-    pub frozen_qps: f64,
-    /// `frozen_qps / cached_qps` — what the CSR layout and bitset
-    /// kernels buy over the same cache on the live adjacency.
-    pub speedup_frozen_vs_cached: f64,
-    /// What the frozen serving tier did. Its profile differs from
-    /// [`QueryStats::cache`] by design: per-epoch image memos re-miss
-    /// each batch's hot sources (cheap dense BFS) instead of paying
-    /// invalidation drops, while the persistent ghost landmarks almost
-    /// never miss — so `dropped` is always zero and `repaired` counts
-    /// only ghost relaxations.
-    pub frozen_cache: CacheStats,
-    /// `queries / api_seconds`.
-    pub api_qps: f64,
-    /// `queries / naive_seconds`.
+    /// `queries / (served_seconds + freeze_seconds)` — served throughput
+    /// inclusive of the per-batch freezes.
+    pub served_qps: f64,
+    /// `naive_queries / naive_seconds`.
     pub naive_qps: f64,
-    /// `cached_qps / naive_qps` — the landmark cache against the naive
-    /// per-query-BFS baseline.
+    /// `served_qps / naive_qps`.
     pub speedup: f64,
-    /// `cached_qps / api_qps` — what the cache adds on top of the
-    /// already-bidirectional uncached API.
-    pub speedup_vs_api: f64,
-    /// What the cache did (hits, misses, in-place repairs, drops,
-    /// evictions, flushes).
-    pub cache: CacheStats,
 }
 
 impl QueryStats {
@@ -497,57 +422,16 @@ impl QueryStats {
             .field("mix", Json::str(&self.mix))
             .field("seed", Json::Int(self.seed as i64))
             .field("hot", Json::Int(self.hot as i64))
-            .field("cache_capacity", Json::Int(self.cache_capacity as i64))
             .field("by_kind", kinds)
             .field("unanswered", Json::Int(self.unanswered as i64))
             .field("naive_queries", Json::Int(self.naive_queries as i64))
             .field("mismatches", Json::Int(self.mismatches as i64))
-            .field("cached_seconds", Json::Float(self.cached_seconds))
-            .field("maintain_seconds", Json::Float(self.maintain_seconds))
             .field("freeze_seconds", Json::Float(self.freeze_seconds))
-            .field(
-                "frozen_maintain_seconds",
-                Json::Float(self.frozen_maintain_seconds),
-            )
-            .field("frozen_seconds", Json::Float(self.frozen_seconds))
-            .field("api_seconds", Json::Float(self.api_seconds))
+            .field("served_seconds", Json::Float(self.served_seconds))
             .field("naive_seconds", Json::Float(self.naive_seconds))
-            .field("queries_per_sec_cached", Json::Float(self.cached_qps))
-            .field("queries_per_sec_frozen", Json::Float(self.frozen_qps))
-            .field("queries_per_sec_api", Json::Float(self.api_qps))
+            .field("queries_per_sec_served", Json::Float(self.served_qps))
             .field("queries_per_sec_naive", Json::Float(self.naive_qps))
             .field("speedup_vs_naive", Json::Float(self.speedup))
-            .field("speedup_vs_api", Json::Float(self.speedup_vs_api))
-            .field(
-                "speedup_frozen_vs_cached",
-                Json::Float(self.speedup_frozen_vs_cached),
-            )
-            .field("cache_hits", Json::Int(self.cache.hits as i64))
-            .field("cache_misses", Json::Int(self.cache.misses as i64))
-            .field("cache_repaired", Json::Int(self.cache.repaired as i64))
-            .field("cache_dropped", Json::Int(self.cache.dropped as i64))
-            .field("cache_evicted", Json::Int(self.cache.evicted as i64))
-            .field("cache_flushes", Json::Int(self.cache.flushes as i64))
-            .field(
-                "frozen_cache_hits",
-                Json::Int(self.frozen_cache.hits as i64),
-            )
-            .field(
-                "frozen_cache_misses",
-                Json::Int(self.frozen_cache.misses as i64),
-            )
-            .field(
-                "frozen_cache_repaired",
-                Json::Int(self.frozen_cache.repaired as i64),
-            )
-            .field(
-                "frozen_cache_evicted",
-                Json::Int(self.frozen_cache.evicted as i64),
-            )
-            .field(
-                "frozen_cache_flushes",
-                Json::Int(self.frozen_cache.flushes as i64),
-            )
     }
 
     /// Folds one answered block into the tallies.
@@ -570,44 +454,26 @@ impl QueryStats {
             mix: wl.mix.spec(),
             seed: wl.seed,
             hot: wl.hot,
-            cache_capacity: wl.cache_capacity,
             by_kind: QUERY_KINDS.iter().map(|k| (k.label(), 0)).collect(),
             unanswered: 0,
             naive_queries: 0,
             mismatches: 0,
-            cached_seconds: 0.0,
-            maintain_seconds: 0.0,
             freeze_seconds: 0.0,
-            frozen_maintain_seconds: 0.0,
-            frozen_seconds: 0.0,
-            api_seconds: 0.0,
+            served_seconds: 0.0,
             naive_seconds: 0.0,
-            cached_qps: 0.0,
-            frozen_qps: 0.0,
-            speedup_frozen_vs_cached: 0.0,
-            api_qps: 0.0,
+            served_qps: 0.0,
             naive_qps: 0.0,
             speedup: 0.0,
-            speedup_vs_api: 0.0,
-            cache: CacheStats::default(),
-            frozen_cache: CacheStats::default(),
         }
     }
 
-    pub(crate) fn finish(&mut self, cache: &QueryCache, frozen: &FrozenQueryCache) {
-        self.cache = cache.stats();
-        self.frozen_cache = frozen.stats();
-        let queries = self.queries as f64;
-        self.cached_qps = crate::rate(queries, self.cached_seconds + self.maintain_seconds);
-        self.frozen_qps = crate::rate(
-            queries,
-            self.frozen_seconds + self.freeze_seconds + self.frozen_maintain_seconds,
+    pub(crate) fn finish(&mut self) {
+        self.served_qps = crate::rate(
+            self.queries as f64,
+            self.served_seconds + self.freeze_seconds,
         );
-        self.api_qps = crate::rate(queries, self.api_seconds);
         self.naive_qps = crate::rate(self.naive_queries as f64, self.naive_seconds);
-        self.speedup = crate::rate(self.cached_qps, self.naive_qps);
-        self.speedup_vs_api = crate::rate(self.cached_qps, self.api_qps);
-        self.speedup_frozen_vs_cached = crate::rate(self.frozen_qps, self.cached_qps);
+        self.speedup = crate::rate(self.served_qps, self.naive_qps);
     }
 }
 
@@ -670,10 +536,10 @@ mod tests {
     fn query_stats_json_shape() {
         let wl = QueryWorkload::new(10);
         let mut stats = QueryStats::empty(&wl);
-        stats.finish(&QueryCache::new(4), &FrozenQueryCache::new(4));
+        stats.finish();
         let text = stats.to_json().pretty();
-        assert!(text.contains("\"queries_per_sec_cached\""));
-        assert!(text.contains("\"queries_per_sec_frozen\""));
+        assert!(text.contains("\"queries_per_sec_served\""));
+        assert!(text.contains("\"queries_per_sec_naive\""));
         assert!(text.contains("\"mix\": \"dist:80,path:10,stretch:10\""));
         assert!(text.contains("\"mismatches\": 0"));
     }

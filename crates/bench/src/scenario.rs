@@ -22,10 +22,9 @@
 
 use crate::json::Json;
 use crate::queries::{
-    answer_api, answer_cached, answer_frozen, answer_naive, answers_agree, QueryStats, QueryStream,
-    QueryWorkload,
+    answer_api, answer_naive, answer_served, answers_agree, QueryStats, QueryStream, QueryWorkload,
 };
-use fg_core::{EngineError, GraphView, HealerObserver, NetworkEvent, QueryCache, SelfHealer};
+use fg_core::{EngineError, GraphView, HealerObserver, NetworkEvent, SelfHealer};
 use fg_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -41,6 +40,11 @@ pub const WORKLOADS: &[&str] = &[
     "preferential-churn",
     "partition-then-heal",
 ];
+
+/// A mixed run answers its naive baseline on every `NAIVE_EVERY`-th
+/// query block only: full per-query BFS on every block would distort
+/// the write-side timings through sheer cache churn.
+const NAIVE_EVERY: usize = 8;
 
 /// An initial network plus a recorded adversarial trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -487,8 +491,7 @@ impl RunResult {
 pub struct MixedRunResult {
     /// Write-side throughput, identical in shape to a plain run.
     pub run: RunResult,
-    /// Read-side throughput, cache behaviour, and the differential
-    /// verdict.
+    /// Read-side throughput and the differential verdict.
     pub queries: QueryStats,
 }
 
@@ -569,30 +572,24 @@ impl ScenarioRunner {
 
     /// Replays `scenario` while serving an interleaved read workload:
     /// after every timed write batch, the proportional share of `wl`'s
-    /// queries runs against the healer's [`view`](SelfHealer::view)
-    /// through **four** read paths — the landmark [`QueryCache`]
-    /// (invalidated/repaired incrementally from the batch's typed
-    /// outcomes), the [`fg_core::FrozenQueryCache`] serving tier (one
-    /// image-only CSR publish per batch, dense bitset-BFS landmark
-    /// memos, persistent ghost landmarks maintained from the same typed
-    /// outcomes; publishes and maintenance timed into their own
-    /// buckets), the uncached `QueryOps` API (per-query bidirectional
-    /// BFS), and the naive baseline (one fresh full single-source BFS
-    /// per query, what reads cost before the query API existed). Each
-    /// pass is timed separately and every answer tuple is compared, so
-    /// the returned [`QueryStats`] carry both speedups *and* a
-    /// differential verdict (`mismatches`, always 0). Frozen scalar
-    /// answers must *equal* the cached ones; frozen paths must agree
-    /// per `answers_agree` (equally short, valid edges — the tier's
-    /// resident landmarks may pick a different gradient source).
+    /// queries is answered through two separately timed read paths:
+    ///
+    /// * **served** — one [`GraphView::freeze`] of the post-batch view,
+    ///   which is the publish cost the server pays per write batch, then
+    ///   the [`FrozenView`](fg_core::FrozenView) CSR kernels per query;
+    /// * **naive** — one fresh full single-source BFS per query (what
+    ///   reads cost before the query API existed), on every 8th query
+    ///   block only.
+    ///
+    /// The live `QueryOps` answer is the untimed oracle: served answers
+    /// must equal it exactly, paths included node for node, and naive
+    /// answers must agree with it per [`answers_agree`]. The returned
+    /// [`QueryStats`] carry both rates, the speedup and the
+    /// differential verdict (`mismatches`, always 0).
     ///
     /// Write batches are timed exactly as in [`ScenarioRunner::run`]
     /// (query work happens strictly between batches), so the write-side
     /// `events_per_sec` stays comparable across plain and mixed runs.
-    /// Cache maintenance (`note_batch`) is timed into its own bucket
-    /// ([`QueryStats::maintain_seconds`]) and charged to the cached
-    /// path's `queries_per_sec`, so the reported speedups include the
-    /// full price of serving cached.
     ///
     /// # Errors
     ///
@@ -604,8 +601,6 @@ impl ScenarioRunner {
         wl: &QueryWorkload,
     ) -> Result<MixedRunResult, EngineError> {
         let mut tallies = Tallies::default();
-        let mut cache = QueryCache::new(wl.cache_capacity);
-        let mut frozen_cache = fg_core::FrozenQueryCache::new(wl.cache_capacity);
         let mut stream = QueryStream::new(wl);
         let mut stats = QueryStats::empty(wl);
         let total_events = scenario.events.len().max(1);
@@ -618,27 +613,12 @@ impl ScenarioRunner {
             let report = healer.apply_batch(batch)?;
             tallies.fold(start.elapsed().as_secs_f64(), &report);
 
-            // Reads ride between write batches: invalidate/repair from
-            // the batch's typed outcomes, then serve this batch's share
-            // of the query budget against the post-barrier view. The
-            // maintenance is timed into its own bucket and charged to
-            // the cached path's throughput.
+            // Reads ride between write batches. Like the server, the
+            // served path publishes once per batch, and the freeze is
+            // charged to its throughput.
             let view = healer.view();
             let start = Instant::now();
-            cache.note_batch(&view, batch, &report);
-            stats.maintain_seconds += start.elapsed().as_secs_f64();
-
-            // The frozen tier pays its epoch costs up front, amortised
-            // over the batch's whole query share: ghost maintenance
-            // (adjacency extension + in-place landmark relaxation
-            // against the live view's outcomes), then one image-only
-            // CSR publish — so `frozen_qps` carries the full serving
-            // price.
-            let start = Instant::now();
-            frozen_cache.note_batch(&view, batch, &report);
-            stats.frozen_maintain_seconds += start.elapsed().as_secs_f64();
-            let start = Instant::now();
-            frozen_cache.publish(&view);
+            let frozen = view.freeze();
             stats.freeze_seconds += start.elapsed().as_secs_f64();
             applied += batch.len();
             let due = wl.queries * applied / total_events;
@@ -650,27 +630,10 @@ impl ScenarioRunner {
             let block = stream.block(view.image(), count);
 
             let start = Instant::now();
-            let cached: Vec<_> = block
-                .iter()
-                .map(|q| answer_cached(&mut cache, &view, q))
-                .collect();
-            stats.cached_seconds += start.elapsed().as_secs_f64();
+            let served: Vec<_> = block.iter().map(|q| answer_served(&frozen, q)).collect();
+            stats.served_seconds += start.elapsed().as_secs_f64();
 
-            let start = Instant::now();
-            let frozen_answers: Vec<_> = block
-                .iter()
-                .map(|q| answer_frozen(&mut frozen_cache, q))
-                .collect();
-            stats.frozen_seconds += start.elapsed().as_secs_f64();
-
-            let start = Instant::now();
-            let api: Vec<_> = block.iter().map(|q| answer_api(&view, q)).collect();
-            stats.api_seconds += start.elapsed().as_secs_f64();
-
-            // The naive baseline is sampled (`naive_every`) — full
-            // per-query BFS on every block would distort the write-side
-            // timings through sheer cache churn.
-            let naive = if blocks.is_multiple_of(wl.naive_every.max(1)) {
+            let naive = if blocks.is_multiple_of(NAIVE_EVERY) {
                 let start = Instant::now();
                 let answers: Vec<_> = block.iter().map(|q| answer_naive(&view, q)).collect();
                 stats.naive_seconds += start.elapsed().as_secs_f64();
@@ -681,24 +644,19 @@ impl ScenarioRunner {
             };
             blocks += 1;
 
-            // All read paths must agree exactly (compared outside the
-            // timed regions).
+            // The untimed oracle: the live `QueryOps` answer. Served
+            // answers must equal it outright; the naive BFS-parent walk
+            // may pick a different, equally short path.
             for (i, q) in block.iter().enumerate() {
-                let mut ok = answers_agree(q, &cached[i], &api[i], view.image());
-                // Frozen scalar answers must *equal* the cached ones
-                // (answers_agree is strict equality for non-path kinds);
-                // frozen paths must be equally short and walk real edges
-                // — the tier's resident landmark set differs from the
-                // live cache's, so its gradient descent may legitimately
-                // pick different nodes.
-                ok &= answers_agree(q, &frozen_answers[i], &cached[i], view.image());
+                let oracle = answer_api(&view, q);
+                let mut ok = served[i] == oracle;
                 if let Some(naive) = &naive {
-                    ok &= answers_agree(q, &naive[i], &api[i], view.image());
+                    ok &= answers_agree(q, &naive[i], &oracle, view.image());
                 }
-                stats.record(q, api[i].answered(), ok);
+                stats.record(q, oracle.answered(), ok);
             }
         }
-        stats.finish(&cache, &frozen_cache);
+        stats.finish();
         Ok(MixedRunResult {
             run: tallies.into_result(self, scenario, healer),
             queries: stats,
@@ -882,35 +840,23 @@ mod tests {
 
         for result in [&engine, &dist] {
             let q = &result.queries;
-            assert_eq!(q.queries, 400, "{}", result.run.backend);
-            assert_eq!(q.mismatches, 0, "{}: cached != naive", result.run.backend);
-            assert_eq!(q.by_kind.iter().map(|(_, c)| c).sum::<usize>(), q.queries);
-            assert!(q.cache.hits > 0, "{}: no cache hits", result.run.backend);
-            // The frozen tier's profile differs from the live cache's by
-            // design: per-epoch memos re-miss instead of paying drops,
-            // and ghost landmarks are repaired in place forever.
+            let backend = &result.run.backend;
+            assert_eq!(q.queries, 400, "{backend}");
+            // A served answer counts as a mismatch unless it equals the
+            // live `QueryOps` answer outright, paths node for node.
+            assert_eq!(q.mismatches, 0, "{backend}: served != live");
             assert!(
-                q.frozen_cache.hits > 0,
-                "{}: no frozen hits",
-                result.run.backend
+                q.by_kind.iter().any(|&(kind, n)| kind == "path" && n > 0),
+                "{backend}: no path query was compared"
             );
-            assert_eq!(
-                q.frozen_cache.dropped, 0,
-                "{}: the frozen tier never drops",
-                result.run.backend
-            );
-            assert_eq!(
-                q.frozen_cache.flushes, 0,
-                "{}: the tier was fed every batch, so nothing flushes",
-                result.run.backend
-            );
+            assert!(q.naive_queries > 0, "{backend}: naive never sampled");
+            assert_eq!(q.by_kind.iter().map(|(_, c)| c).sum::<usize>(), q.queries);
         }
         // The query stream is deterministic and both backends hold
         // identical state, so the read side must agree exactly.
         assert_eq!(engine.queries.by_kind, dist.queries.by_kind);
         assert_eq!(engine.queries.unanswered, dist.queries.unanswered);
-        assert_eq!(engine.queries.cache, dist.queries.cache);
-        assert_eq!(engine.queries.frozen_cache, dist.queries.frozen_cache);
+        assert_eq!(engine.queries.naive_queries, dist.queries.naive_queries);
         // And the write side still folds the same aggregates as a plain
         // run of the same trace.
         let mut plain = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
@@ -918,7 +864,7 @@ mod tests {
         assert_eq!(engine.run.edges_added, reference.edges_added);
         assert_eq!(engine.run.max_churn, reference.max_churn);
         let text = engine.to_json().pretty();
-        assert!(text.contains("\"queries_per_sec_cached\""));
+        assert!(text.contains("\"queries_per_sec_served\""));
         assert!(text.contains("\"mismatches\": 0"));
     }
 
@@ -1004,31 +950,16 @@ mod tests {
             "mix",
             "seed",
             "hot",
-            "cache_capacity",
             "by_kind",
             "unanswered",
             "naive_queries",
             "mismatches",
-            "cached_seconds",
-            "maintain_seconds",
             "freeze_seconds",
-            "frozen_maintain_seconds",
-            "frozen_seconds",
-            "api_seconds",
+            "served_seconds",
             "naive_seconds",
-            "queries_per_sec_cached",
-            "queries_per_sec_frozen",
-            "queries_per_sec_api",
+            "queries_per_sec_served",
             "queries_per_sec_naive",
             "speedup_vs_naive",
-            "speedup_vs_api",
-            "speedup_frozen_vs_cached",
-            "cache_hits",
-            "cache_misses",
-            "cache_repaired",
-            "cache_dropped",
-            "cache_evicted",
-            "cache_flushes",
         ] {
             assert!(queries.get(key).is_some(), "queries field {key} missing");
         }

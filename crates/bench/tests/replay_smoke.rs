@@ -1,7 +1,8 @@
 //! Smoke test for the `replay_trace` binary's checked-replay paths: the
 //! binary must exit **nonzero** when a replay mismatches its reference
 //! (it used to print and return success, which made it useless as a CI
-//! gate) and zero when every requested check passes.
+//! gate) and zero when every requested check passes. One more check
+//! drives `throughput --help`, which must answer with usage, not panic.
 
 use fg_bench::replay::{format_digest_file, replay_digests, ReplayBackend};
 use fg_bench::scenario;
@@ -117,4 +118,17 @@ fn digest_out_writes_a_reusable_reference() {
         &std::fs::read_to_string(&fresh).expect("digest-out file"),
     );
     assert_eq!(written, digests);
+}
+
+#[test]
+fn throughput_help_exits_zero_without_panicking() {
+    let out = Command::new(env!("CARGO_BIN_EXE_throughput"))
+        .arg("--help")
+        .output()
+        .expect("running throughput");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("usage: throughput"), "stdout: {stdout}");
 }

@@ -63,7 +63,7 @@ pub use event::NetworkEvent;
 pub use forest::{Forest, VNode};
 pub use healer::SelfHealer;
 pub use image::ImageGraph;
-pub use query::{stretch_ratio, CacheStats, FrozenQueryCache, QueryCache, QueryOps};
+pub use query::{stretch_ratio, QueryOps};
 pub use slot::{Slot, VKey, VKind};
 pub use stats::EngineStats;
-pub use view::{epoch_of, FrozenView, GraphView, QuerySide, QuerySource, View};
+pub use view::{epoch_of, FrozenView, GraphView, View};

@@ -1,6 +1,4 @@
-//! The read-side query API: [`QueryOps`] over any [`GraphView`], and the
-//! incrementally invalidated [`QueryCache`] for mixed read/write
-//! workloads.
+//! The read-side query API: [`QueryOps`] over any [`GraphView`].
 //!
 //! The paper frames the Forgiving Graph as a *data structure answering
 //! distance queries between repairs* — this module is that API surface.
@@ -19,21 +17,12 @@
 //!   `G'`, via the single shared ratio convention [`stretch_ratio`]
 //!   (the same definition `fg_metrics`' aggregate measurements consume).
 //!
-//! [`QueryCache`] is the serving layer for read-heavy workloads: it
-//! memoizes full single-source distance vectors ("landmarks") over both
-//! graphs and answers repeated queries in O(1)/O(path) instead of one
-//! BFS per query. Crucially it is **incrementally invalidated by the
-//! typed reports of the write path** ([`NetworkEvent`] +
-//! [`HealOutcome`]) rather than rebuilt per query — see
-//! [`QueryCache::note_event`] for the exact soundness rules, and
-//! DESIGN.md §10 for the proofs.
+//! The served read path answers the same surface from a published
+//! [`FrozenView`](crate::FrozenView), whose CSR kernels return identical
+//! answers, paths included node for node.
 
-use crate::api::{BatchReport, HealOutcome};
-use crate::event::NetworkEvent;
-use crate::view::{GraphView, QuerySide, QuerySource};
-use fg_graph::traversal::{self, DistanceVec};
-use fg_graph::{FrozenCsr, Graph, NodeId};
-use std::collections::VecDeque;
+use crate::view::GraphView;
+use fg_graph::{traversal, NodeId};
 
 /// The single stretch-ratio convention, shared by [`QueryOps::stretch`]
 /// and `fg_metrics`' aggregate stretch measurements:
@@ -129,1166 +118,6 @@ pub trait QueryOps: GraphView {
 
 impl<T: GraphView + ?Sized> QueryOps for T {}
 
-/// Counters describing what a [`QueryCache`] did — exposed for bench
-/// reports and the differential suite.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries answered from a cached distance vector.
-    pub hits: u64,
-    /// Queries that had to run a fresh BFS (which then populated the
-    /// cache).
-    pub misses: u64,
-    /// Vectors kept current *in place* across a write batch by the
-    /// seeded relaxation (instead of being dropped and recomputed).
-    pub repaired: u64,
-    /// Vectors dropped by an invalidating write (a deletion whose victim
-    /// the vector's source could reach).
-    pub dropped: u64,
-    /// Vectors evicted by the capacity bound (least-recently-used).
-    pub evicted: u64,
-    /// Full flushes forced by an epoch mismatch (writes the cache was
-    /// not told about).
-    pub flushes: u64,
-}
-
-/// One cached landmark: a source node, its full distance vector over one
-/// graph, and the merge-dirty flag (see [`QueryCache`]'s invalidation
-/// rules).
-#[derive(Debug, Clone)]
-struct Landmark {
-    src: NodeId,
-    vec: DistanceVec,
-    /// Set while an un-relaxed insert may have extended this source's
-    /// reachable set beyond what `vec`'s `Some`/`None` pattern shows
-    /// (a component merge); cleared by the end-of-batch relaxation.
-    merge_dirty: bool,
-    /// Recency stamp from the store's tick counter — the eviction key.
-    used: u64,
-}
-
-/// One side's landmark store: full single-source distance vectors over
-/// one graph. Recency is tracked with a monotone tick stamped onto each
-/// entry on use — a hit is a scan plus one integer write, with none of
-/// the entry shuffling a move-to-front list would pay per hit — and
-/// eviction removes the minimum stamp, which is exactly the
-/// least-recently-used entry.
-#[derive(Debug, Clone, Default)]
-struct VectorStore {
-    entries: Vec<Landmark>,
-    tick: u64,
-}
-
-impl VectorStore {
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Index of the entry sourced at `a` or (failing that) `b`.
-    fn find(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        let mut fallback = None;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.src == a {
-                return Some(i);
-            }
-            if e.src == b {
-                fallback = Some(i);
-            }
-        }
-        fallback
-    }
-
-    /// The entry for `a` or `b`, computing (and caching) a fresh BFS
-    /// from `a` on a miss. The BFS runs through [`QuerySide`], so a
-    /// frozen source rebuilds its landmarks with the dense CSR kernels
-    /// while a live source keeps using [`traversal::bfs_distances`] —
-    /// both produce identical vectors.
-    fn fetch(
-        &mut self,
-        side: &(impl QuerySide + ?Sized),
-        a: NodeId,
-        b: NodeId,
-        capacity: usize,
-        stats: &mut CacheStats,
-    ) -> &Landmark {
-        if let Some(i) = self.find(a, b) {
-            stats.hits += 1;
-            self.tick += 1;
-            self.entries[i].used = self.tick;
-            return &self.entries[i];
-        }
-        stats.misses += 1;
-        while self.entries.len() >= capacity {
-            stats.evicted += 1;
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(i, _)| i)
-                .expect("non-empty store at capacity");
-            self.entries.swap_remove(lru);
-        }
-        self.tick += 1;
-        self.entries.push(Landmark {
-            src: a,
-            vec: side.distances_from(a),
-            merge_dirty: false,
-            used: self.tick,
-        });
-        self.entries.last().expect("entry just pushed")
-    }
-}
-
-/// Folds one insertion into a landmark without repairing distances yet:
-/// the new node's slot gets its best upper bound through the attachment
-/// edges (`min over reachable neighbours + 1`), and the merge-dirty flag
-/// is raised when the insert touches both reachable and unreachable
-/// neighbours — the one case where the source's reachable set may grow
-/// beyond what the un-relaxed vector shows.
-fn fold_insert(e: &mut Landmark, node: NodeId, neighbors: &[NodeId]) {
-    // Kept vectors always cover exactly the pre-event node set, so the
-    // new node's slot is `vec.len()`.
-    debug_assert_eq!(e.vec.len(), node.index());
-    let mut best: Option<u32> = None;
-    let mut unreachable = false;
-    for a in neighbors {
-        match e.vec.get(a.index()).copied().flatten() {
-            Some(d) => best = Some(best.map_or(d + 1, |b: u32| b.min(d + 1))),
-            None => unreachable = true,
-        }
-    }
-    if best.is_some() && unreachable {
-        e.merge_dirty = true;
-    }
-    e.vec.push(best);
-}
-
-/// Exact post-insert repair of a distance vector: with only node
-/// insertions applied since the vector was valid, distances can only
-/// shrink, and every shortened (or newly connected) path passes through
-/// an inserted node — so a relaxation seeded at the new nodes and run to
-/// fixpoint over the *current* graph restores exactness. Nodes are
-/// re-queued whenever they improve, so out-of-order improvements (chains
-/// of new nodes, component merges) converge to true shortest distances.
-fn relax_from_new_nodes(side: &(impl QuerySide + ?Sized), vec: &mut DistanceVec, seeds: &[NodeId]) {
-    let mut queue: VecDeque<NodeId> = seeds
-        .iter()
-        .copied()
-        .filter(|w| vec[w.index()].is_some())
-        .collect();
-    while let Some(x) = queue.pop_front() {
-        let Some(dx) = vec[x.index()] else { continue };
-        side.for_neighbors(x, |y| {
-            let cand = dx + 1;
-            if vec[y.index()].is_none_or(|old| old > cand) {
-                vec[y.index()] = Some(cand);
-                queue.push_back(y);
-            }
-        });
-    }
-}
-
-/// A landmark/pivot cache over a healer's views: memoized single-source
-/// distance vectors for the image and the ghost, answering
-/// [`distance`](QueryCache::distance) / [`path`](QueryCache::path) /
-/// [`stretch`](QueryCache::stretch) /
-/// [`same_component`](QueryCache::same_component) **exactly** — every
-/// answer equals the corresponding fresh [`QueryOps`] answer, which the
-/// query differential suite asserts along the adversarial traces.
-///
-/// # Incremental invalidation
-///
-/// The cache is kept sound by feeding it the write path's own typed
-/// outcomes ([`note_event`](QueryCache::note_event) /
-/// [`note_batch`](QueryCache::note_batch)) instead of rebuilding per
-/// query. Per batch, each kept vector folds the events in order and is
-/// then repaired in place; the rules (soundness arguments in DESIGN.md
-/// §10):
-///
-/// * **Insertions never invalidate.** New edges are all incident to the
-///   new node, so distances only shrink, and every shortened or newly
-///   connected path passes through an inserted node — a relaxation
-///   seeded at the batch's new nodes, run to fixpoint against the
-///   post-batch graph (`relax_from_new_nodes`), restores exactness.
-/// * **Deletion**: a vector is dropped iff its source could reach the
-///   victim (or a pending component merge makes reachability uncertain
-///   — the merge-dirty flag). Repairs only ever touch the victim's
-///   component (every participant is a ghost-neighbour of the victim,
-///   kept connected by the healing invariant), so unreachable sources
-///   are unaffected.
-/// * **Ghost vectors survive everything** (`G'` is insert-only, so only
-///   the insert relaxation applies) — which is what makes cached
-///   [`stretch`](QueryCache::stretch) cheap under churn.
-///
-/// If the underlying healer advanced without the cache being told (the
-/// view's epoch disagrees with the cache's), every entry is flushed —
-/// stale answers are structurally impossible, not just unlikely.
-///
-/// # Examples
-///
-/// ```
-/// use fg_core::query::{QueryCache, QueryOps};
-/// use fg_core::{ForgivingGraph, NetworkEvent, SelfHealer};
-/// use fg_graph::{generators, NodeId};
-///
-/// let mut fg = ForgivingGraph::from_graph(&generators::cycle(16))?;
-/// let mut cache = QueryCache::new(32);
-/// let (u, v) = (NodeId::new(1), NodeId::new(9));
-/// assert_eq!(cache.distance(&fg.view(), u, v), Some(8));
-/// assert_eq!(cache.distance(&fg.view(), u, NodeId::new(2)), Some(1));
-/// assert_eq!(cache.stats().misses, 1); // one BFS served both queries
-///
-/// // Writes invalidate incrementally through their typed outcomes.
-/// let event = NetworkEvent::delete(NodeId::new(5));
-/// let outcome = fg.apply_event(&event)?;
-/// cache.note_event(&fg.view(), &event, &outcome);
-/// assert_eq!(cache.distance(&fg.view(), u, v), fg.view().distance(u, v));
-/// # Ok::<(), fg_core::EngineError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct QueryCache {
-    capacity: usize,
-    /// The epoch the cache's entries are valid at, once it has seen a
-    /// view.
-    synced: Option<u64>,
-    image: VectorStore,
-    ghost: VectorStore,
-    stats: CacheStats,
-}
-
-impl QueryCache {
-    /// A cache holding up to `capacity` distance vectors per graph side
-    /// (least-recently-used eviction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero. A zero-capacity cache cannot hold
-    /// even the vector it just computed, so every lookup would silently
-    /// degrade to a full BFS while still reporting cache statistics;
-    /// callers that want no caching should use the uncached
-    /// [`QueryOps`] API instead of constructing a cache.
-    pub fn new(capacity: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "QueryCache capacity must be at least 1: a zero-capacity cache cannot \
-             hold any landmark vector (use the uncached QueryOps API instead)"
-        );
-        QueryCache {
-            capacity,
-            synced: None,
-            image: VectorStore::default(),
-            ghost: VectorStore::default(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// What the cache has done so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Cached distance vectors currently held, summed across the image
-    /// and ghost sides (each side is bounded by the capacity
-    /// separately).
-    pub fn len(&self) -> usize {
-        self.image.entries.len() + self.ghost.entries.len()
-    }
-
-    /// Whether the cache holds no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached vector (stats are kept).
-    pub fn flush(&mut self) {
-        self.image.clear();
-        self.ghost.clear();
-        self.synced = None;
-    }
-
-    /// Reconciles the cache with `view`'s epoch: on a mismatch (a write
-    /// the cache was not told about) everything is flushed, so answers
-    /// can never be stale.
-    fn sync(&mut self, view: &(impl QuerySource + ?Sized)) {
-        let epoch = view.source_epoch();
-        if self.synced != Some(epoch) {
-            if self.synced.is_some() {
-                self.stats.flushes += 1;
-            }
-            self.image.clear();
-            self.ghost.clear();
-            self.synced = Some(epoch);
-        }
-    }
-
-    /// Applies one write's invalidation rules (see the type docs) and
-    /// advances the cache's epoch by one. `view` is the healer's state
-    /// *after* the event was applied.
-    pub fn note_event(
-        &mut self,
-        view: &(impl QuerySource + ?Sized),
-        event: &NetworkEvent,
-        outcome: &HealOutcome,
-    ) {
-        self.note_all(
-            view,
-            std::slice::from_ref(event),
-            std::slice::from_ref(outcome),
-        );
-    }
-
-    /// [`QueryCache::note_event`] over a whole ingestion batch: each
-    /// event pairs with its outcome from the batch report, deletions
-    /// fold their drop rules in order, and one relaxation pass per kept
-    /// vector repairs it against the post-batch `view`.
-    pub fn note_batch(
-        &mut self,
-        view: &(impl QuerySource + ?Sized),
-        events: &[NetworkEvent],
-        report: &BatchReport,
-    ) {
-        self.note_all(view, events, &report.outcomes);
-    }
-
-    fn note_all(
-        &mut self,
-        view: &(impl QuerySource + ?Sized),
-        events: &[NetworkEvent],
-        outcomes: &[HealOutcome],
-    ) {
-        let target = view.source_epoch();
-        let consistent = events.len() == outcomes.len()
-            && match self.synced {
-                None => true,
-                Some(e) => e + events.len() as u64 == target,
-            };
-        if !consistent {
-            // The caller skipped events (or paired the wrong outcomes):
-            // folding would corrupt the vectors, so flush instead.
-            if !self.image.entries.is_empty() || !self.ghost.entries.is_empty() {
-                self.stats.flushes += 1;
-            }
-            self.image.clear();
-            self.ghost.clear();
-            self.synced = Some(target);
-            return;
-        }
-
-        // The batch's inserted nodes — the relaxation seeds.
-        let seeds: Vec<NodeId> = outcomes.iter().filter_map(HealOutcome::node).collect();
-
-        // Image side: fold inserts (slot extension) and deletions (drop
-        // rules) in order, then repair survivors against the new image.
-        let stats = &mut self.stats;
-        self.image.entries.retain_mut(|e| {
-            for (event, outcome) in events.iter().zip(outcomes) {
-                match (event, outcome) {
-                    (NetworkEvent::Insert { neighbors }, HealOutcome::Inserted { node, .. }) => {
-                        fold_insert(e, *node, neighbors);
-                    }
-                    (NetworkEvent::Delete { node }, HealOutcome::Repaired { .. }) => {
-                        if e.merge_dirty || e.vec[node.index()].is_some() {
-                            stats.dropped += 1;
-                            return false;
-                        }
-                    }
-                    // Mismatched pair: the consistency check above makes
-                    // this unreachable, but drop soundly regardless.
-                    _ => {
-                        stats.dropped += 1;
-                        return false;
-                    }
-                }
-            }
-            true
-        });
-        // Ghost side: `G'` is insert-only, so deletions are no-ops and
-        // every vector survives.
-        for (event, outcome) in events.iter().zip(outcomes) {
-            if let (NetworkEvent::Insert { neighbors }, HealOutcome::Inserted { node, .. }) =
-                (event, outcome)
-            {
-                for e in &mut self.ghost.entries {
-                    fold_insert(e, *node, neighbors);
-                }
-            }
-        }
-        if !seeds.is_empty() {
-            for e in &mut self.image.entries {
-                relax_from_new_nodes(view.image_side(), &mut e.vec, &seeds);
-                e.merge_dirty = false;
-                stats.repaired += 1;
-            }
-            for e in &mut self.ghost.entries {
-                relax_from_new_nodes(view.ghost_side(), &mut e.vec, &seeds);
-                e.merge_dirty = false;
-                stats.repaired += 1;
-            }
-        }
-        self.synced = Some(target);
-    }
-
-    /// Cached [`QueryOps::distance`]: exact, O(1) after the source (or
-    /// target) vector is resident.
-    pub fn distance(
-        &mut self,
-        view: &(impl QuerySource + ?Sized),
-        u: NodeId,
-        v: NodeId,
-    ) -> Option<u32> {
-        self.sync(view);
-        let image = view.image_side();
-        if !image.contains(u) || !image.contains(v) {
-            return None;
-        }
-        Self::lookup(&mut self.image, image, u, v, self.capacity, &mut self.stats)
-    }
-
-    /// The one landmark lookup: fetch the vector sourced at `u` or `v`
-    /// (computing from `u` on a miss) and read the other endpoint's
-    /// distance.
-    fn lookup(
-        store: &mut VectorStore,
-        side: &(impl QuerySide + ?Sized),
-        u: NodeId,
-        v: NodeId,
-        capacity: usize,
-        stats: &mut CacheStats,
-    ) -> Option<u32> {
-        let lm = store.fetch(side, u, v, capacity, stats);
-        let other = if lm.src == u { v } else { u };
-        lm.vec[other.index()]
-    }
-
-    /// Cached [`QueryOps::path`]: the hop count comes from a cached
-    /// vector; the concrete shortest path is recovered by descending the
-    /// distance gradient through the image adjacency.
-    pub fn path(
-        &mut self,
-        view: &(impl QuerySource + ?Sized),
-        u: NodeId,
-        v: NodeId,
-    ) -> Option<Vec<NodeId>> {
-        self.sync(view);
-        let image = view.image_side();
-        if !image.contains(u) || !image.contains(v) {
-            return None;
-        }
-        if u == v {
-            return Some(vec![u]);
-        }
-        let lm = self
-            .image
-            .fetch(image, u, v, self.capacity, &mut self.stats);
-        let (source, far) = (lm.src, if lm.src == u { v } else { u });
-        let vec = &lm.vec;
-        let mut hops = vec[far.index()]?;
-        // Walk downhill from `far` to the vector's source: every node at
-        // distance d > 0 has a neighbour at distance d - 1.
-        let mut down = Vec::with_capacity(hops as usize + 1);
-        let mut cur = far;
-        down.push(cur);
-        while hops > 0 {
-            cur = image
-                .find_neighbor(cur, |w| vec[w.index()] == Some(hops - 1))
-                .expect("distance gradients descend to their source");
-            down.push(cur);
-            hops -= 1;
-        }
-        debug_assert_eq!(down.last(), Some(&source));
-        if source == u {
-            down.reverse();
-        }
-        Some(down)
-    }
-
-    /// Cached [`QueryOps::same_component`].
-    pub fn same_component(
-        &mut self,
-        view: &(impl QuerySource + ?Sized),
-        u: NodeId,
-        v: NodeId,
-    ) -> bool {
-        self.distance(view, u, v).is_some()
-    }
-
-    /// Cached [`QueryOps::stretch`] — image distance from the image-side
-    /// store, `G'` distance from the ghost-side store (which deletions
-    /// never invalidate).
-    pub fn stretch(
-        &mut self,
-        view: &(impl QuerySource + ?Sized),
-        u: NodeId,
-        v: NodeId,
-    ) -> Option<f64> {
-        self.sync(view);
-        if !view.image_side().contains(u) || !view.image_side().contains(v) {
-            return None;
-        }
-        let image_d = Self::lookup(
-            &mut self.image,
-            view.image_side(),
-            u,
-            v,
-            self.capacity,
-            &mut self.stats,
-        );
-        let ghost_d = Self::lookup(
-            &mut self.ghost,
-            view.ghost_side(),
-            u,
-            v,
-            self.capacity,
-            &mut self.stats,
-        );
-        stretch_ratio(ghost_d, image_d)
-    }
-}
-
-/// One landmark of the [`FrozenQueryCache`]: a source node and a flat
-/// `u32` distance vector with [`FrozenCsr::UNREACHED`] marking
-/// unreachable slots. Image-side entries are indexed by the published
-/// snapshot's *dense* ids (live-sized — 4 bytes per live node); ghost
-/// entries are indexed by [`NodeId::index`] (`G'` never deletes, so its
-/// ids never need remapping).
-#[derive(Debug, Clone)]
-struct DenseLandmark {
-    src: NodeId,
-    vec: Vec<u32>,
-    /// Recency stamp — the eviction key, exactly as in [`QueryCache`].
-    used: u64,
-}
-
-/// Index of the entry sourced at `a` or (failing that) `b` — the same
-/// preference order as the live cache's `VectorStore::find`.
-fn find_dense(entries: &[DenseLandmark], a: NodeId, b: NodeId) -> Option<usize> {
-    let mut fallback = None;
-    for (i, e) in entries.iter().enumerate() {
-        if e.src == a {
-            return Some(i);
-        }
-        if e.src == b {
-            fallback = Some(i);
-        }
-    }
-    fallback
-}
-
-/// Evicts minimum-stamp entries until one more fits under `capacity`.
-fn evict_dense(entries: &mut Vec<DenseLandmark>, capacity: usize, stats: &mut CacheStats) {
-    while entries.len() >= capacity {
-        stats.evicted += 1;
-        let lru = entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.used)
-            .map(|(i, _)| i)
-            .expect("non-empty store at capacity");
-        entries.swap_remove(lru);
-    }
-}
-
-/// [`fold_insert`] over a flat sentinel vector: the new node's slot gets
-/// its best upper bound through the attachment edges; exactness is
-/// restored by the end-of-batch seeded relaxation (the merge-dirty flag
-/// is unnecessary here — the ghost never deletes, so nothing ever asks
-/// whether a source's reachable set might have silently grown).
-///
-/// Returns whether the new node is an *active* seed for this vector:
-/// some attachment neighbor sits further than `bound + 1` (including
-/// the sentinel — a component merge), so relaxing through the new node
-/// can actually improve something. The fold has already read every
-/// neighbor slot the relaxation's initial probe would re-read, so
-/// inactive seeds — the overwhelmingly common case — make the
-/// relaxation free. Soundness: if no seed of a batch is active, no
-/// pre-existing slot changes, so every folded bound (computed from
-/// those slots) is already exact; if some seed is active, any node the
-/// relaxation improves is queued and propagates, which re-discovers
-/// exactly the chains a full seeding would.
-fn fold_insert_dense(vec: &mut Vec<u32>, node: NodeId, neighbors: &[NodeId]) -> bool {
-    debug_assert_eq!(vec.len(), node.index());
-    let mut best = FrozenCsr::UNREACHED;
-    for a in neighbors {
-        if let Some(&d) = vec.get(a.index()) {
-            if d != FrozenCsr::UNREACHED {
-                best = best.min(d + 1);
-            }
-        }
-    }
-    let active = best != FrozenCsr::UNREACHED
-        && neighbors
-            .iter()
-            .any(|a| vec.get(a.index()).is_some_and(|&d| d > best + 1));
-    vec.push(best);
-    active
-}
-
-/// The frozen tier's persistent ghost adjacency: a contiguous CSR base
-/// (rows as of the last compaction) plus per-node overflow rows for
-/// edges appended since, compacted when the overflow grows past a fixed
-/// fraction of the base.
-///
-/// `G'` only ever gains structure, and every appended id is the largest
-/// yet issued, so base-then-overflow concatenation keeps each row
-/// ascending — compaction is a pure merge, never a sort. The layout
-/// exists because the ghost is the *tombstone-free* side: after heavy
-/// churn it dwarfs the live image, and landmark misses must BFS all of
-/// it — walking contiguous rows instead of pointer-chasing one heap
-/// allocation per node is where the miss cost goes.
-#[derive(Debug, Clone, Default)]
-struct GhostAdj {
-    /// Base CSR row bounds; node `x`'s base row is
-    /// `targets[offsets[x]..offsets[x + 1]]` when `x + 1 < offsets.len()`
-    /// (nodes issued after the last compaction have no base row yet).
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    /// Edges appended since the last compaction, indexed by node.
-    extra: Vec<Vec<u32>>,
-    /// Total edge-ends across `extra` — the compaction trigger.
-    extra_edges: usize,
-}
-
-impl GhostAdj {
-    /// Overflow edge-ends are allowed up to 1/8 of the base before a
-    /// compaction folds them in: rebuild work stays `O(edges)` per
-    /// 12.5% growth, i.e. amortized-constant per appended edge.
-    const COMPACT_DIVISOR: usize = 8;
-
-    fn node_count(&self) -> usize {
-        self.extra.len()
-    }
-
-    /// Rebuilds base rows from the live ghost graph (the resync lane).
-    fn rebuild_from(&mut self, ghost: &Graph) {
-        let n = ghost.nodes_ever();
-        self.offsets = Vec::with_capacity(n + 1);
-        self.targets.clear();
-        self.offsets.push(0);
-        for i in 0..n {
-            self.targets.extend(
-                ghost
-                    .neighbors(NodeId::new(i as u32))
-                    .map(|w| w.index() as u32),
-            );
-            self.offsets.push(self.targets.len() as u32);
-        }
-        self.extra = vec![Vec::new(); n];
-        self.extra_edges = 0;
-    }
-
-    /// The two ascending halves of node `x`'s row: base, then overflow.
-    fn row(&self, x: u32) -> (&[u32], &[u32]) {
-        let x = x as usize;
-        let base = if x + 1 < self.offsets.len() {
-            &self.targets[self.offsets[x] as usize..self.offsets[x + 1] as usize]
-        } else {
-            &[]
-        };
-        (base, &self.extra[x])
-    }
-
-    /// Appends a freshly inserted node's row (its ids all smaller than
-    /// the node's own, so it lands whole in overflow).
-    fn push_node(&mut self, row: Vec<u32>) {
-        self.extra_edges += row.len();
-        self.extra.push(row);
-    }
-
-    /// Appends one edge-end to an existing node's row.
-    fn push_edge_end(&mut self, x: u32, y: u32) {
-        self.extra[x as usize].push(y);
-        self.extra_edges += 1;
-    }
-
-    /// Folds the overflow into the base once it is large enough to slow
-    /// row walks down.
-    fn maybe_compact(&mut self) {
-        if self.extra_edges * Self::COMPACT_DIVISOR <= self.targets.len().max(64) {
-            return;
-        }
-        let n = self.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(self.targets.len() + self.extra_edges);
-        offsets.push(0);
-        for x in 0..n as u32 {
-            let (base, extra) = self.row(x);
-            targets.extend_from_slice(base);
-            targets.extend_from_slice(extra);
-            offsets.push(targets.len() as u32);
-        }
-        self.offsets = offsets;
-        self.targets = targets;
-        self.extra = vec![Vec::new(); n];
-        self.extra_edges = 0;
-    }
-}
-
-/// [`relax_from_new_nodes`] over the ghost adjacency, seeded only at the
-/// batch's *active* new nodes (see [`fold_insert_dense`]), run to
-/// fixpoint. The sentinel is `u32::MAX`, so "unreachable or worse" is
-/// one comparison.
-fn relax_dense(adj: &GhostAdj, vec: &mut [u32], seeds: &[u32]) {
-    let mut queue: VecDeque<u32> = seeds.iter().copied().collect();
-    while let Some(x) = queue.pop_front() {
-        let dx = vec[x as usize];
-        debug_assert_ne!(dx, FrozenCsr::UNREACHED);
-        let cand = dx + 1;
-        let (base, extra) = adj.row(x);
-        for &y in base.iter().chain(extra) {
-            if vec[y as usize] > cand {
-                vec[y as usize] = cand;
-                queue.push_back(y);
-            }
-        }
-    }
-}
-
-/// Single-source BFS over the ghost adjacency, sentinel-valued (the
-/// distance slot doubles as the visited mark), stopping as soon as
-/// every node marked in `live` is settled.
-///
-/// The truncation is sound because ghost landmark vectors are only ever
-/// *read* at image-live endpoints, reads gate on the published image,
-/// and among already-issued ids the live set only shrinks — so every
-/// future read hits a settled slot. Slots left at the sentinel are
-/// still valid upper bounds (∞) for the fold/relax maintenance, which
-/// only ever lowers them along real ghost edges.
-fn bfs_dense_adj(adj: &GhostAdj, live: &[bool], live_count: u32, src: NodeId) -> Vec<u32> {
-    let mut dist = vec![FrozenCsr::UNREACHED; adj.node_count()];
-    let s = src.index();
-    if s >= dist.len() {
-        return dist;
-    }
-    let mut remaining = live_count;
-    let settle = |y: usize, remaining: &mut u32| {
-        if live.get(y).copied().unwrap_or(false) {
-            *remaining -= 1;
-        }
-    };
-    dist[s] = 0;
-    settle(s, &mut remaining);
-    let mut frontier = vec![s as u32];
-    let mut next = Vec::new();
-    let mut depth = 0u32;
-    while !frontier.is_empty() && remaining > 0 {
-        depth += 1;
-        for &x in &frontier {
-            let (base, extra) = adj.row(x);
-            for &y in base.iter().chain(extra) {
-                if dist[y as usize] == FrozenCsr::UNREACHED {
-                    dist[y as usize] = depth;
-                    settle(y as usize, &mut remaining);
-                    next.push(y);
-                }
-            }
-        }
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
-    }
-    dist
-}
-
-/// The dedicated frozen serving tier: answers the cached query surface
-/// **entirely from its own epoch snapshot**, never touching the live
-/// adjacency on the read path.
-///
-/// [`QueryCache`] retargeted onto a [`FrozenView`](crate::FrozenView)
-/// proves the kernels are interchangeable, but it inherits the live
-/// cache's economics: full-universe `DistanceVec`s, per-batch
-/// invalidation drops, and a ghost CSR rebuild per freeze even though
-/// `G'` only ever *gains* structure. This tier restructures all three
-/// costs around what actually changes per epoch:
-///
-/// * **Image side — per-epoch memos.** [`publish`](Self::publish) copies
-///   only the *image* into [`FrozenCsr`] form (the cheap side: live-sized
-///   after churn) and clears the landmark memos. A miss runs the dense
-///   bitset kernel ([`FrozenCsr::bfs_dense`]) and keeps the live-sized
-///   `u32` vector — no `nodes_ever`-shaped allocation, and **no
-///   invalidation logic at all**: the snapshot is immutable, so a memo
-///   can never go stale within its epoch.
-/// * **Ghost side — persistent landmarks over an append-only
-///   adjacency.** `G'` never deletes, so the tier maintains its own flat
-///   copy of the ghost adjacency, extended per batch from the insert
-///   outcomes (the authoritative rows come from the post-batch ghost
-///   graph), and repairs its ghost vectors in place with the same
-///   fold-then-relax rules as [`QueryCache`]'s ghost side (DESIGN.md
-///   §10) — the expensive per-freeze ghost CSR rebuild disappears from
-///   the steady state entirely.
-///
-/// Every scalar answer (distance, stretch, component, degree) equals the
-/// live [`QueryOps`] answer at the published epoch; paths are recovered
-/// by descending the memo's distance gradient, so they are valid
-/// shortest paths whose node choice may differ from the bidirectional
-/// kernel's (the differential suites check length, endpoints and edge
-/// validity). If the writer advances without
-/// [`note_batch`](Self::note_batch) being told, the ghost state flushes
-/// and rebuilds — stale answers are structurally impossible.
-///
-/// # Examples
-///
-/// ```
-/// use fg_core::{ForgivingGraph, FrozenQueryCache, NetworkEvent, QueryOps, SelfHealer};
-/// use fg_graph::{generators, NodeId};
-///
-/// let mut fg = ForgivingGraph::from_graph(&generators::cycle(12))?;
-/// let mut tier = FrozenQueryCache::new(16);
-/// tier.publish(&fg.view());
-/// let (u, v) = (NodeId::new(1), NodeId::new(7));
-/// assert_eq!(tier.distance(u, v), Some(6));
-///
-/// // Per write batch: one maintenance call, one (image-only) publish.
-/// let event = NetworkEvent::delete(NodeId::new(4));
-/// let outcome = fg.apply_event(&event)?;
-/// tier.note_event(&fg.view(), &event, &outcome);
-/// tier.publish(&fg.view());
-/// assert_eq!(tier.distance(u, v), fg.view().distance(u, v));
-/// assert_eq!(tier.stretch(u, v), fg.view().stretch(u, v));
-/// # Ok::<(), fg_core::EngineError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct FrozenQueryCache {
-    capacity: usize,
-    stats: CacheStats,
-    tick: u64,
-    /// The published image snapshot and its epoch. Before the first
-    /// [`publish`](Self::publish) the snapshot is empty: every endpoint
-    /// is dead and every read answers `None`.
-    epoch: Option<u64>,
-    image: FrozenCsr,
-    /// Image landmark memos for the current epoch, dense live-sized.
-    memo: Vec<DenseLandmark>,
-    /// Which ghost-space ids were image-live at the last publish, and
-    /// how many — the early-termination gate for ghost-miss BFS (see
-    /// [`bfs_dense_adj`]).
-    ghost_live: Vec<bool>,
-    ghost_live_count: u32,
-    /// Tick watermarks at the start of the current and previous
-    /// published epochs — the ghost landmark age-out gate.
-    tick_epoch: u64,
-    tick_prev: u64,
-    /// Epoch the ghost state is synced to.
-    ghost_synced: Option<u64>,
-    /// The tier's own copy of the ghost adjacency, indexed by
-    /// [`NodeId::index`], rows ascending — equal to the live `G'`
-    /// adjacency at `ghost_synced` by construction.
-    ghost_adj: GhostAdj,
-    /// Persistent ghost landmarks, `nodes_ever`-sized.
-    ghost: Vec<DenseLandmark>,
-}
-
-impl FrozenQueryCache {
-    /// A serving tier holding up to `capacity` landmark vectors per side
-    /// (least-recently-used eviction), with nothing published yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero, for the same reason as
-    /// [`QueryCache::new`].
-    pub fn new(capacity: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "FrozenQueryCache capacity must be at least 1: a zero-capacity tier cannot \
-             hold any landmark vector (use the uncached QueryOps API instead)"
-        );
-        FrozenQueryCache {
-            capacity,
-            stats: CacheStats::default(),
-            tick: 0,
-            epoch: None,
-            image: FrozenCsr::from_graph(&Graph::new()),
-            memo: Vec::new(),
-            ghost_live: Vec::new(),
-            ghost_live_count: 0,
-            tick_epoch: 0,
-            tick_prev: 0,
-            ghost_synced: None,
-            ghost_adj: GhostAdj::default(),
-            ghost: Vec::new(),
-        }
-    }
-
-    /// What the tier has done so far. `hits`/`misses`/`evicted` span
-    /// both sides; `repaired` counts ghost vectors relaxed in place;
-    /// `flushes` counts ghost rebuilds forced by unnoted writes;
-    /// `dropped` stays zero (image memos are rebuilt per epoch, never
-    /// invalidated; ghost vectors survive everything).
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Landmark vectors currently held across both sides.
-    pub fn len(&self) -> usize {
-        self.memo.len() + self.ghost.len()
-    }
-
-    /// Whether the tier holds no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The epoch reads are currently served at, once one is published.
-    pub fn epoch(&self) -> Option<u64> {
-        self.epoch
-    }
-
-    /// Publishes `view`'s epoch as the tier's serving snapshot: one
-    /// `O(live + edges)` image-only CSR copy, and the per-epoch memos
-    /// reset. The ghost is *not* re-frozen — that is the point of the
-    /// persistent ghost state — but if it is out of step with `view`
-    /// (the caller skipped [`note_batch`](Self::note_batch)) it flushes
-    /// and rebuilds here, so a published tier is always coherent: both
-    /// sides answer at the same epoch.
-    pub fn publish(&mut self, view: &(impl GraphView + ?Sized)) {
-        self.image = FrozenCsr::from_graph(view.image());
-        self.memo.clear();
-        self.ghost_live.clear();
-        self.ghost_live.resize(view.ghost().nodes_ever(), false);
-        self.ghost_live_count = 0;
-        for v in view.image().iter() {
-            self.ghost_live[v.index()] = true;
-            self.ghost_live_count += 1;
-        }
-        self.epoch = Some(view.epoch());
-        // Age out ghost landmarks not consulted for two published
-        // epochs: each costs a fold per insert forever but serves
-        // nothing once its source leaves the query mix, and a source
-        // that returns re-warms with a single dense BFS.
-        let stale = self.tick_prev;
-        let before = self.ghost.len();
-        self.ghost.retain(|e| e.used >= stale);
-        self.stats.evicted += (before - self.ghost.len()) as u64;
-        self.tick_prev = self.tick_epoch;
-        self.tick_epoch = self.tick;
-        if self.ghost_synced != self.epoch {
-            self.resync_ghost(view);
-        }
-    }
-
-    /// The slow lane: drop every ghost landmark and rebuild the
-    /// adjacency copy from the live ghost graph.
-    fn resync_ghost(&mut self, view: &(impl GraphView + ?Sized)) {
-        if !self.ghost.is_empty() {
-            self.stats.flushes += 1;
-        }
-        self.ghost.clear();
-        self.ghost_adj.rebuild_from(view.ghost());
-        self.ghost_synced = Some(view.epoch());
-    }
-
-    /// [`QueryCache::note_event`]'s analogue for the persistent ghost
-    /// state. `view` is the healer's state *after* the event.
-    pub fn note_event(
-        &mut self,
-        view: &(impl GraphView + ?Sized),
-        event: &NetworkEvent,
-        outcome: &HealOutcome,
-    ) {
-        self.note_all(
-            view,
-            std::slice::from_ref(event),
-            std::slice::from_ref(outcome),
-        );
-    }
-
-    /// Maintains the ghost state across a write batch: the adjacency
-    /// copy gains every inserted node's ghost row, and each kept ghost
-    /// vector folds the inserts then relaxes back to exactness (same
-    /// soundness argument as [`QueryCache::note_batch`]'s ghost side —
-    /// `G'` is insert-only, so deletions are no-ops). On an epoch gap
-    /// (writes the tier was not told about) the ghost state flushes and
-    /// the adjacency rebuilds from `view`.
-    pub fn note_batch(
-        &mut self,
-        view: &(impl GraphView + ?Sized),
-        events: &[NetworkEvent],
-        report: &BatchReport,
-    ) {
-        self.note_all(view, events, &report.outcomes);
-    }
-
-    fn note_all(
-        &mut self,
-        view: &(impl GraphView + ?Sized),
-        events: &[NetworkEvent],
-        outcomes: &[HealOutcome],
-    ) {
-        let target = view.epoch();
-        let consistent = events.len() == outcomes.len()
-            && self
-                .ghost_synced
-                .is_some_and(|e| e + events.len() as u64 == target);
-        if !consistent {
-            // First sync, skipped events, or mispaired outcomes: rebuild
-            // the adjacency from the live ghost and start over.
-            self.resync_ghost(view);
-            return;
-        }
-        let ghost = view.ghost();
-        let mut inserts: Vec<(NodeId, &[NodeId])> = Vec::new();
-        for (event, outcome) in events.iter().zip(outcomes) {
-            if let (NetworkEvent::Insert { neighbors }, HealOutcome::Inserted { node, .. }) =
-                (event, outcome)
-            {
-                inserts.push((*node, neighbors));
-                let idx = node.index() as u32;
-                debug_assert_eq!(self.ghost_adj.node_count(), node.index());
-                // The authoritative edge set is the post-batch ghost
-                // graph (the engine may filter the event's requested
-                // neighbors). Rows stay ascending because appended ids
-                // are always the largest yet issued; edges to same-batch
-                // later inserts are added when *that* endpoint's row is
-                // built, so each edge lands exactly once per row.
-                let row: Vec<u32> = ghost
-                    .neighbors(*node)
-                    .map(|w| w.index() as u32)
-                    .filter(|&w| w < idx)
-                    .collect();
-                for &w in &row {
-                    self.ghost_adj.push_edge_end(w, idx);
-                }
-                self.ghost_adj.push_node(row);
-            }
-        }
-        if !inserts.is_empty() {
-            let mut active: Vec<u32> = Vec::new();
-            for e in &mut self.ghost {
-                active.clear();
-                for (node, neighbors) in &inserts {
-                    if fold_insert_dense(&mut e.vec, *node, neighbors) {
-                        active.push(node.index() as u32);
-                    }
-                }
-                if !active.is_empty() {
-                    relax_dense(&self.ghost_adj, &mut e.vec, &active);
-                    self.stats.repaired += 1;
-                }
-            }
-            self.ghost_adj.maybe_compact();
-        }
-        self.ghost_synced = Some(target);
-    }
-
-    /// The image memo sourced at `u` or `v`, running the dense bitset
-    /// kernel from `u` on a miss. Returns an index into `self.memo` so
-    /// callers can keep borrowing `self.image` alongside.
-    fn fetch_image(&mut self, u: NodeId, v: NodeId, du: u32) -> usize {
-        if let Some(i) = find_dense(&self.memo, u, v) {
-            self.stats.hits += 1;
-            self.tick += 1;
-            self.memo[i].used = self.tick;
-            return i;
-        }
-        self.stats.misses += 1;
-        evict_dense(&mut self.memo, self.capacity, &mut self.stats);
-        self.tick += 1;
-        self.memo.push(DenseLandmark {
-            src: u,
-            vec: self.image.bfs_dense(du),
-            used: self.tick,
-        });
-        self.memo.len() - 1
-    }
-
-    /// The ghost landmark sourced at `u` or `v`, running a flat BFS over
-    /// the adjacency copy from `u` on a miss.
-    fn fetch_ghost(&mut self, u: NodeId, v: NodeId) -> usize {
-        if let Some(i) = find_dense(&self.ghost, u, v) {
-            self.stats.hits += 1;
-            self.tick += 1;
-            self.ghost[i].used = self.tick;
-            return i;
-        }
-        self.stats.misses += 1;
-        evict_dense(&mut self.ghost, self.capacity, &mut self.stats);
-        self.tick += 1;
-        self.ghost.push(DenseLandmark {
-            src: u,
-            vec: bfs_dense_adj(&self.ghost_adj, &self.ghost_live, self.ghost_live_count, u),
-            used: self.tick,
-        });
-        self.ghost.len() - 1
-    }
-
-    /// Exact [`QueryOps::distance`] at the published epoch.
-    pub fn distance(&mut self, u: NodeId, v: NodeId) -> Option<u32> {
-        let (du, dv) = (self.image.dense(u)?, self.image.dense(v)?);
-        let i = self.fetch_image(u, v, du);
-        let lm = &self.memo[i];
-        let other = if lm.src == u { dv } else { du };
-        let d = lm.vec[other as usize];
-        (d != FrozenCsr::UNREACHED).then_some(d)
-    }
-
-    /// A shortest image path at the published epoch, recovered by
-    /// descending the memo's distance gradient through the snapshot's
-    /// rows (ascending dense order is ascending [`NodeId`] order, so tie
-    /// breaks match the live cache's `find_neighbor` walk from the same
-    /// source).
-    pub fn path(&mut self, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-        let (du, dv) = (self.image.dense(u)?, self.image.dense(v)?);
-        if u == v {
-            return Some(vec![u]);
-        }
-        let i = self.fetch_image(u, v, du);
-        let (src_is_u, far) = if self.memo[i].src == u {
-            (true, dv)
-        } else {
-            (false, du)
-        };
-        let vec = &self.memo[i].vec;
-        let mut hops = vec[far as usize];
-        if hops == FrozenCsr::UNREACHED {
-            return None;
-        }
-        let mut down = Vec::with_capacity(hops as usize + 1);
-        let mut cur = far;
-        down.push(self.image.node(cur));
-        while hops > 0 {
-            cur = self
-                .image
-                .dense_row(cur)
-                .iter()
-                .copied()
-                .find(|&w| vec[w as usize] == hops - 1)
-                .expect("distance gradients descend to their source");
-            down.push(self.image.node(cur));
-            hops -= 1;
-        }
-        if src_is_u {
-            down.reverse();
-        }
-        Some(down)
-    }
-
-    /// Exact [`QueryOps::same_component`] at the published epoch.
-    pub fn same_component(&mut self, u: NodeId, v: NodeId) -> bool {
-        self.distance(u, v).is_some()
-    }
-
-    /// Exact [`QueryOps::degree`] at the published epoch.
-    pub fn degree(&self, u: NodeId) -> Option<usize> {
-        self.image.degree(u)
-    }
-
-    /// Exact [`QueryOps::stretch`] at the published epoch — image
-    /// distance from the per-epoch memo, `G'` distance from the
-    /// persistent ghost landmarks.
-    pub fn stretch(&mut self, u: NodeId, v: NodeId) -> Option<f64> {
-        let (du, dv) = (self.image.dense(u)?, self.image.dense(v)?);
-        let i = self.fetch_image(u, v, du);
-        let lm = &self.memo[i];
-        let other = if lm.src == u { dv } else { du };
-        let d = lm.vec[other as usize];
-        let image_d = (d != FrozenCsr::UNREACHED).then_some(d);
-        let g = self.fetch_ghost(u, v);
-        let lm = &self.ghost[g];
-        let gother = if lm.src == u { v } else { u };
-        let d = lm.vec[gother.index()];
-        let ghost_d = (d != FrozenCsr::UNREACHED).then_some(d);
-        stretch_ratio(ghost_d, image_d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1329,272 +158,5 @@ mod tests {
         assert_eq!(view.degree(n(4)), None);
         assert_eq!(view.neighbors(n(4)), Vec::<NodeId>::new());
         assert!(view.degree(n(3)).unwrap() >= 2);
-    }
-
-    #[test]
-    fn cache_answers_equal_fresh_answers_under_churn() {
-        let mut fg =
-            ForgivingGraph::from_graph(&generators::connected_erdos_renyi(24, 0.12, 5)).unwrap();
-        let mut cache = QueryCache::new(8);
-        let events = [
-            NetworkEvent::insert([n(3)]),
-            NetworkEvent::delete(n(7)),
-            NetworkEvent::insert([n(1), n(2)]),
-            NetworkEvent::delete(n(0)),
-            NetworkEvent::insert([n(24)]),
-        ];
-        for event in events {
-            let outcome = fg.apply_event(&event).unwrap();
-            cache.note_event(&fg.view(), &event, &outcome);
-            let view = fg.view();
-            for u in 0..view.ghost().nodes_ever() as u32 {
-                for v in 0..view.ghost().nodes_ever() as u32 {
-                    let (u, v) = (n(u), n(v));
-                    assert_eq!(cache.distance(&view, u, v), view.distance(u, v));
-                    assert_eq!(cache.stretch(&view, u, v), view.stretch(u, v));
-                    let cached = cache.path(&view, u, v);
-                    let fresh = view.path(u, v);
-                    assert_eq!(cached.is_some(), fresh.is_some());
-                    if let (Some(c), Some(f)) = (cached, fresh) {
-                        assert_eq!(c.len(), f.len(), "paths must be equally short");
-                        assert_eq!(c.first(), Some(&u));
-                        assert_eq!(c.last(), Some(&v));
-                        for pair in c.windows(2) {
-                            assert!(view.image().has_edge(pair[0], pair[1]));
-                        }
-                    }
-                }
-            }
-        }
-        let stats = cache.stats();
-        assert!(
-            stats.hits > stats.misses,
-            "repeat sources must hit: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn inserts_repair_vectors_in_place() {
-        let mut fg = ForgivingGraph::from_graph(&generators::path(6)).unwrap();
-        let mut cache = QueryCache::new(4);
-        assert_eq!(cache.distance(&fg.view(), n(0), n(5)), Some(5));
-        assert_eq!(cache.stats().misses, 1);
-        // A leaf insert extends the vector...
-        let event = NetworkEvent::insert([n(5)]);
-        let outcome = fg.apply_event(&event).unwrap();
-        cache.note_event(&fg.view(), &event, &outcome);
-        assert_eq!(cache.distance(&fg.view(), n(0), n(6)), Some(6));
-        // ...and a shortcut insert (node 7 bridging 0 and 5) relaxes
-        // every stale distance instead of dropping the vector.
-        let event = NetworkEvent::insert([n(0), n(5)]);
-        let outcome = fg.apply_event(&event).unwrap();
-        cache.note_event(&fg.view(), &event, &outcome);
-        assert_eq!(cache.distance(&fg.view(), n(0), n(5)), Some(2));
-        assert_eq!(cache.distance(&fg.view(), n(0), n(6)), Some(3));
-        assert_eq!(cache.distance(&fg.view(), n(0), n(3)), Some(3));
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "no vector was ever recomputed");
-        assert!(stats.repaired >= 2);
-        assert_eq!(stats.dropped, 0);
-    }
-
-    #[test]
-    fn merging_inserts_restore_cross_component_distances() {
-        // Two disjoint paths; the cached vector learns the far side the
-        // moment an insert bridges them.
-        let mut g = fg_graph::Graph::with_nodes(6);
-        g.add_edge(n(0), n(1)).unwrap();
-        g.add_edge(n(1), n(2)).unwrap();
-        g.add_edge(n(3), n(4)).unwrap();
-        g.add_edge(n(4), n(5)).unwrap();
-        let mut fg = ForgivingGraph::from_graph(&g).unwrap();
-        let mut cache = QueryCache::new(4);
-        assert_eq!(cache.distance(&fg.view(), n(0), n(5)), None);
-        let event = NetworkEvent::insert([n(2), n(3)]);
-        let outcome = fg.apply_event(&event).unwrap();
-        cache.note_event(&fg.view(), &event, &outcome);
-        // 0-1-2-6-3-4-5.
-        assert_eq!(cache.distance(&fg.view(), n(0), n(5)), Some(6));
-        assert_eq!(cache.distance(&fg.view(), n(0), n(6)), Some(3));
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn unnoted_writes_force_a_flush_not_a_stale_answer() {
-        let mut fg = ForgivingGraph::from_graph(&generators::cycle(8)).unwrap();
-        let mut cache = QueryCache::new(4);
-        assert_eq!(cache.distance(&fg.view(), n(0), n(4)), Some(4));
-        // Mutate without telling the cache.
-        let _ = fg.delete(n(2)).unwrap();
-        let fresh = fg.view().distance(n(0), n(4));
-        assert_eq!(cache.distance(&fg.view(), n(0), n(4)), fresh);
-        assert_eq!(cache.stats().flushes, 1);
-    }
-
-    #[test]
-    fn capacity_is_enforced_fifo() {
-        let fg = ForgivingGraph::from_graph(&generators::cycle(8)).unwrap();
-        let mut cache = QueryCache::new(2);
-        let view = fg.view();
-        for s in 0..4u32 {
-            let _ = cache.distance(&view, n(s), n((s + 1) % 8));
-        }
-        assert!(cache.len() <= 2);
-        assert!(cache.stats().evicted >= 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be at least 1")]
-    fn zero_capacity_is_rejected() {
-        let _ = QueryCache::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be at least 1")]
-    fn frozen_tier_zero_capacity_is_rejected() {
-        let _ = FrozenQueryCache::new(0);
-    }
-
-    #[test]
-    fn frozen_tier_answers_equal_fresh_answers_under_churn() {
-        let mut fg =
-            ForgivingGraph::from_graph(&generators::connected_erdos_renyi(24, 0.12, 5)).unwrap();
-        let mut tier = FrozenQueryCache::new(8);
-        tier.publish(&fg.view());
-        let events = [
-            NetworkEvent::insert([n(3)]),
-            NetworkEvent::delete(n(7)),
-            NetworkEvent::insert([n(1), n(2)]),
-            NetworkEvent::delete(n(0)),
-            NetworkEvent::insert([n(24)]),
-            NetworkEvent::delete(n(3)),
-        ];
-        for event in events {
-            let outcome = fg.apply_event(&event).unwrap();
-            tier.note_event(&fg.view(), &event, &outcome);
-            tier.publish(&fg.view());
-            let view = fg.view();
-            assert_eq!(tier.epoch(), Some(view.epoch()));
-            for u in 0..view.ghost().nodes_ever() as u32 {
-                for v in 0..view.ghost().nodes_ever() as u32 {
-                    let (u, v) = (n(u), n(v));
-                    assert_eq!(tier.distance(u, v), view.distance(u, v), "({u}, {v})");
-                    assert_eq!(tier.stretch(u, v), view.stretch(u, v), "({u}, {v})");
-                    assert_eq!(tier.degree(u), view.degree(u), "{u}");
-                    let got = tier.path(u, v);
-                    let fresh = view.path(u, v);
-                    assert_eq!(got.is_some(), fresh.is_some(), "({u}, {v})");
-                    if let (Some(g), Some(f)) = (got, fresh) {
-                        assert_eq!(g.len(), f.len(), "paths must be equally short");
-                        assert_eq!(g.first(), Some(&u));
-                        assert_eq!(g.last(), Some(&v));
-                        for pair in g.windows(2) {
-                            assert!(view.image().has_edge(pair[0], pair[1]));
-                        }
-                    }
-                }
-            }
-        }
-        let stats = tier.stats();
-        assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
-        assert_eq!(stats.dropped, 0, "the frozen tier never drops: {stats:?}");
-        assert_eq!(stats.flushes, 0, "every write was noted: {stats:?}");
-    }
-
-    #[test]
-    fn frozen_tier_relaxes_warm_ghost_vectors_on_bridging_inserts() {
-        let mut fg = ForgivingGraph::from_graph(&generators::cycle(24)).unwrap();
-        let mut tier = FrozenQueryCache::new(8);
-        tier.publish(&fg.view());
-        // Warm a ghost landmark at node 0, then bridge two nodes sitting
-        // at distances 5 and 9 from it: the fold's bound through the
-        // near end (6) undercuts the far end's current 9, so the pruned
-        // relaxation must mark the insert active and pull the far side
-        // of the cycle in through the new shortcut.
-        assert!(tier.stretch(n(0), n(12)).is_some());
-        let event = NetworkEvent::insert([n(5), n(15)]);
-        let outcome = fg.apply_event(&event).unwrap();
-        tier.note_event(&fg.view(), &event, &outcome);
-        tier.publish(&fg.view());
-        let stats = tier.stats();
-        assert!(
-            stats.repaired > 0,
-            "the warm ghost vector must be relaxed in place: {stats:?}"
-        );
-        let view = fg.view();
-        for v in 0..view.ghost().nodes_ever() as u32 {
-            assert_eq!(tier.distance(n(0), n(v)), view.distance(n(0), n(v)), "{v}");
-            assert_eq!(tier.stretch(n(0), n(v)), view.stretch(n(0), n(v)), "{v}");
-        }
-    }
-
-    #[test]
-    fn frozen_tier_publish_resyncs_ghost_on_unnoted_writes() {
-        let mut fg = ForgivingGraph::from_graph(&generators::cycle(10)).unwrap();
-        let mut tier = FrozenQueryCache::new(8);
-        tier.publish(&fg.view());
-        // Warm a ghost landmark, then advance the writer behind the
-        // tier's back.
-        assert!(tier.stretch(n(0), n(5)).is_some());
-        let _ = fg.insert(&[n(2), n(8)]).unwrap();
-        let _ = fg.delete(n(4)).unwrap();
-        tier.publish(&fg.view());
-        let view = fg.view();
-        assert_eq!(tier.stats().flushes, 1, "the stale ghost state flushed");
-        for u in 0..view.ghost().nodes_ever() as u32 {
-            for v in 0..view.ghost().nodes_ever() as u32 {
-                let (u, v) = (n(u), n(v));
-                assert_eq!(tier.distance(u, v), view.distance(u, v), "({u}, {v})");
-                assert_eq!(tier.stretch(u, v), view.stretch(u, v), "({u}, {v})");
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_tier_before_first_publish_answers_nothing() {
-        let fg = ForgivingGraph::from_graph(&generators::cycle(6)).unwrap();
-        let mut tier = FrozenQueryCache::new(4);
-        assert_eq!(tier.epoch(), None);
-        assert_eq!(tier.distance(n(0), n(1)), None);
-        assert_eq!(tier.degree(n(0)), None);
-        assert!(tier.is_empty());
-        tier.publish(&fg.view());
-        assert_eq!(tier.distance(n(0), n(3)), Some(3));
-        assert_eq!(tier.len(), 1);
-    }
-
-    #[test]
-    fn eviction_accounting_is_exact_at_the_capacity_boundary() {
-        // Distinct sources on a cycle, so every query sources a new
-        // vector and the store crosses the capacity boundary repeatedly.
-        let fg = ForgivingGraph::from_graph(&generators::cycle(12)).unwrap();
-        let view = fg.view();
-        for capacity in [1usize, 2, 3] {
-            let mut cache = QueryCache::new(capacity);
-            let sources = 6u32;
-            for s in 0..sources {
-                let _ = cache.distance(&view, n(s), n((s + 6) % 12));
-                assert!(
-                    cache.len() <= capacity,
-                    "capacity {capacity}: {} vectors after {s}",
-                    cache.len()
-                );
-            }
-            let stats = cache.stats();
-            assert_eq!(stats.misses, u64::from(sources), "capacity {capacity}");
-            // Each overflow evicts exactly one vector (the store holds at
-            // most `capacity`, so `len + 1 - capacity` is always 1).
-            assert_eq!(
-                stats.evicted,
-                u64::from(sources) - capacity as u64,
-                "capacity {capacity}"
-            );
-            assert_eq!(cache.len(), capacity);
-            // A repeat of the most recent source hits without evicting.
-            let evicted_before = stats.evicted;
-            let _ = cache.distance(&view, n(sources - 1), n(0));
-            assert_eq!(cache.stats().hits, 1);
-            assert_eq!(cache.stats().evicted, evicted_before);
-        }
     }
 }

@@ -1,5 +1,6 @@
 //! Read-side snapshots: [`GraphView`], the epoch-stamped window onto a
-//! healer's image and ghost graphs.
+//! healer's image and ghost graphs, and [`FrozenView`], its published
+//! CSR form.
 //!
 //! The Forgiving Graph exists to *serve queries* while under attack —
 //! "how far is `u` from `v` right now?" — yet writes (insert, delete,
@@ -16,14 +17,13 @@
 //! `nodes_ever` by one, each delete grows the tombstone count by one),
 //! so it advances by exactly one per adversarial event and never
 //! repeats. Two views of the same healer with equal epochs are views of
-//! identical state; query caches ([`crate::query::QueryCache`]) use the
-//! stamp to detect writes they were not told about and fall back to a
-//! full flush instead of serving stale answers.
+//! identical state, and a [`FrozenView`] keeps the stamp of the view it
+//! was frozen from, so a served answer names the state it was computed
+//! on.
 //!
 //! [`SelfHealer`]: crate::SelfHealer
 //! [`SelfHealer::view`]: crate::SelfHealer::view
 
-use fg_graph::traversal::{self, DistanceVec};
 use fg_graph::{FrozenCsr, Graph, NodeId};
 
 /// The structural epoch of an (image, ghost) pair:
@@ -88,125 +88,18 @@ pub trait GraphView {
     }
 }
 
-/// One graph side a query can run against — the live [`Graph`] or a
-/// [`FrozenCsr`] snapshot of it. Everything [`QueryCache`] needs to
-/// build, repair and walk landmark vectors, expressed so the frozen
-/// side can answer from its dense CSR kernels while the live side keeps
-/// using [`fg_graph::traversal`].
-///
-/// Both implementations iterate neighbors in ascending id order and
-/// produce identical [`DistanceVec`]s for the same structure, which is
-/// what keeps cached answers bit-identical across the two layouts (the
-/// query differential suite asserts this along every trace).
-///
-/// [`QueryCache`]: crate::query::QueryCache
-pub trait QuerySide {
-    /// Whether `v` is live on this side.
-    fn contains(&self, v: NodeId) -> bool;
-
-    /// Full single-source BFS from `src`, indexed by
-    /// [`NodeId::index`] over the full `nodes_ever` universe.
-    fn distances_from(&self, src: NodeId) -> DistanceVec;
-
-    /// Calls `f` for each of `v`'s neighbors in ascending id order.
-    fn for_neighbors(&self, v: NodeId, f: impl FnMut(NodeId));
-
-    /// The first neighbor of `v` (ascending) satisfying `pred`.
-    fn find_neighbor(&self, v: NodeId, pred: impl FnMut(NodeId) -> bool) -> Option<NodeId>;
-}
-
-impl QuerySide for Graph {
-    fn contains(&self, v: NodeId) -> bool {
-        Graph::contains(self, v)
-    }
-
-    fn distances_from(&self, src: NodeId) -> DistanceVec {
-        traversal::bfs_distances(self, src)
-    }
-
-    fn for_neighbors(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
-        for w in self.neighbors(v) {
-            f(w);
-        }
-    }
-
-    fn find_neighbor(&self, v: NodeId, mut pred: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
-        self.neighbors(v).find(|&w| pred(w))
-    }
-}
-
-impl QuerySide for FrozenCsr {
-    fn contains(&self, v: NodeId) -> bool {
-        FrozenCsr::contains(self, v)
-    }
-
-    fn distances_from(&self, src: NodeId) -> DistanceVec {
-        self.bfs_distances(src)
-    }
-
-    fn for_neighbors(&self, v: NodeId, mut f: impl FnMut(NodeId)) {
-        for w in self.neighbors(v) {
-            f(w);
-        }
-    }
-
-    fn find_neighbor(&self, v: NodeId, mut pred: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
-        self.neighbors(v).find(|&w| pred(w))
-    }
-}
-
-/// Anything a [`QueryCache`](crate::query::QueryCache) can serve from:
-/// an epoch stamp plus an image and a ghost [`QuerySide`]. Blanket-
-/// implemented for every [`GraphView`] (sides are the live graphs) and
-/// implemented for [`FrozenView`] (sides are the CSR snapshots), so the
-/// same cache code — same landmark policy, same invalidation rules,
-/// same statistics — runs against either layout.
-pub trait QuerySource {
-    /// The graph representation queries run against.
-    type Side: QuerySide;
-
-    /// The structural state stamp (see [`epoch_of`]). Named apart from
-    /// [`GraphView::epoch`] so the blanket impl below never makes
-    /// `view.epoch()` ambiguous at existing call sites.
-    fn source_epoch(&self) -> u64;
-
-    /// The healed image side.
-    fn image_side(&self) -> &Self::Side;
-
-    /// The insert-only ghost side.
-    fn ghost_side(&self) -> &Self::Side;
-}
-
-impl<T: GraphView + ?Sized> QuerySource for T {
-    type Side = Graph;
-
-    fn source_epoch(&self) -> u64 {
-        GraphView::epoch(self)
-    }
-
-    fn image_side(&self) -> &Graph {
-        self.image()
-    }
-
-    fn ghost_side(&self) -> &Graph {
-        self.ghost()
-    }
-}
-
 /// An owned, immutable, epoch-stamped snapshot of a healer's state in
 /// [`FrozenCsr`] layout — the publication unit of the freeze-and-query
 /// idiom: a writer publishes one `FrozenView` per epoch, readers pin it
 /// and answer every query from contiguous arrays without borrowing the
-/// healer.
+/// healer. It is the one served read path: the server answers every
+/// read from the `FrozenView` of the snapshot it pinned.
 ///
 /// `FrozenView` answers the full [`QueryOps`](crate::query::QueryOps)
 /// surface through inherent methods (it deliberately does *not*
-/// implement [`GraphView`] — there are no live `Graph`s behind it), and
-/// serves as a [`QuerySource`] for
-/// [`QueryCache`](crate::query::QueryCache), whose landmark vectors
-/// then rebuild
-/// against the CSR kernels. Answers are bit-identical to the live-view
-/// path at the same epoch.
+/// implement [`GraphView`] — there are no live `Graph`s behind it).
+/// Answers are bit-identical to the live-view path at the same epoch,
+/// shortest paths included node for node.
 ///
 /// # Examples
 ///
@@ -291,22 +184,6 @@ impl FrozenView {
         let ghost = self.ghost.bidirectional_distance(u, v);
         let image = self.image.bidirectional_distance(u, v);
         crate::query::stretch_ratio(ghost, image)
-    }
-}
-
-impl QuerySource for FrozenView {
-    type Side = FrozenCsr;
-
-    fn source_epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn image_side(&self) -> &FrozenCsr {
-        &self.image
-    }
-
-    fn ghost_side(&self) -> &FrozenCsr {
-        &self.ghost
     }
 }
 

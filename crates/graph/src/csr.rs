@@ -11,24 +11,21 @@
 //! the live set is a small fraction of the ids ever issued, so the
 //! working set shrinks by the same factor.
 //!
-//! The traversal kernels here are dense mirrors of
-//! [`crate::traversal`]: BFS with u64-word **bitset** frontiers and
-//! visited sets, and the same bidirectional meet-in-the-middle search.
-//! Because the dense remap is built over live ids in ascending order it
-//! is *monotone*, so ascending iteration over a CSR row is ascending
-//! iteration over [`NodeId`]s — the kernels discover nodes in exactly
-//! the order the live-graph kernels do, and therefore return not just
-//! equal distances but **identical** distance vectors and concrete
-//! paths. The differential suites lean on that.
+//! The traversal kernel here is a dense mirror of [`crate::traversal`]'s
+//! bidirectional meet-in-the-middle search. Because the dense remap is
+//! built over live ids in ascending order it is *monotone*, so ascending
+//! iteration over a CSR row is ascending iteration over [`NodeId`]s —
+//! the kernel discovers nodes in exactly the order the live-graph kernel
+//! does, and therefore returns not just equal distances but
+//! **identical** concrete paths. The differential suites lean on that.
 
-use crate::traversal::DistanceVec;
 use crate::{Graph, NodeId};
 
 /// Dense-index sentinel: "this id is not live in the snapshot".
 const DEAD: u32 = u32::MAX;
 
 /// An immutable compressed-sparse-row snapshot of a graph's live
-/// structure, with dense-id remapping and bitset BFS kernels.
+/// structure, with dense-id remapping and a bidirectional BFS kernel.
 ///
 /// Built via [`FrozenCsr::from_graph`]; see the [module docs](self) for
 /// the layout and the bit-identity argument.
@@ -61,11 +58,6 @@ pub struct FrozenCsr {
 }
 
 impl FrozenCsr {
-    /// The sentinel [`FrozenCsr::bfs_dense`] writes for unreachable
-    /// dense indices (also the internal "not live" marker of the remap
-    /// table).
-    pub const UNREACHED: u32 = DEAD;
-
     /// Freezes the live structure of `g` into CSR form.
     ///
     /// One pass over the live nodes in ascending id order (so the dense
@@ -135,21 +127,6 @@ impl FrozenCsr {
         self.node_of.iter().copied()
     }
 
-    /// Dense index `d`'s adjacency row, as ascending dense indices.
-    ///
-    /// Because the remap is monotone, ascending dense order is ascending
-    /// [`NodeId`] order — walking a row visits neighbors exactly as
-    /// [`Graph::neighbors`] does. This is the raw-row entry point for
-    /// dense-space consumers (e.g. gradient-descent path recovery over a
-    /// [`FrozenCsr::bfs_dense`] vector).
-    ///
-    /// # Panics
-    ///
-    /// If `d >= live_count()`.
-    pub fn dense_row(&self, d: u32) -> &[u32] {
-        self.row(d)
-    }
-
     /// `v`'s dense-id adjacency row (ascending). Empty for dead ids.
     fn row(&self, d: u32) -> &[u32] {
         let (lo, hi) = (
@@ -169,84 +146,6 @@ impl FrozenCsr {
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let row = self.dense(v).map_or(&[][..], |d| self.row(d));
         row.iter().map(|&w| self.node_of[w as usize])
-    }
-
-    /// Full single-source BFS from `src` over the frozen structure,
-    /// using u64-word bitset frontiers and visited sets over the dense
-    /// id space.
-    ///
-    /// Returns exactly what [`crate::traversal::bfs_distances`] returns
-    /// on the source graph: a [`DistanceVec`] indexed by
-    /// [`NodeId::index`] over the full `nodes_ever` universe (dead and
-    /// unreachable ids map to `None`; all-`None` when `src` is dead).
-    /// Distance labels are level-synchronous and therefore independent
-    /// of intra-level visit order, so the bitset schedule is free to
-    /// differ from the queue schedule without changing the output.
-    pub fn bfs_distances(&self, src: NodeId) -> DistanceVec {
-        let mut out: DistanceVec = vec![None; self.nodes_ever()];
-        let Some(s) = self.dense(src) else {
-            return out;
-        };
-        let dist = self.bfs_dense(s);
-        for (d, &v) in self.node_of.iter().enumerate() {
-            if dist[d] != DEAD {
-                out[v.index()] = Some(dist[d]);
-            }
-        }
-        out
-    }
-
-    /// The dense core of [`FrozenCsr::bfs_distances`]: full single-source
-    /// BFS from dense index `src`, returned as a `live_count()`-sized
-    /// vector over dense indices with [`FrozenCsr::UNREACHED`] marking
-    /// unreachable nodes.
-    ///
-    /// This is the allocation-lean entry point for serving tiers that
-    /// keep per-epoch landmark vectors: the result is sized by the *live*
-    /// population (4 bytes per live node), not the `nodes_ever` universe
-    /// a [`DistanceVec`] spans, and no expansion pass runs.
-    ///
-    /// # Panics
-    ///
-    /// If `src >= live_count()`.
-    pub fn bfs_dense(&self, src: u32) -> Vec<u32> {
-        let live = self.live_count();
-        let words = live.div_ceil(64);
-        let s = src;
-        let mut dist = vec![DEAD; live];
-        let mut visited = vec![0u64; words];
-        let mut frontier = vec![0u64; words];
-        let mut next = vec![0u64; words];
-        dist[s as usize] = 0;
-        visited[s as usize / 64] |= 1u64 << (s % 64);
-        frontier[s as usize / 64] |= 1u64 << (s % 64);
-        let mut depth = 0u32;
-        loop {
-            let mut grew = false;
-            for (w, &word) in frontier.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let x = w as u32 * 64 + bits.trailing_zeros();
-                    bits &= bits - 1;
-                    for &y in self.row(x) {
-                        let (wy, my) = (y as usize / 64, 1u64 << (y % 64));
-                        if visited[wy] & my == 0 {
-                            visited[wy] |= my;
-                            next[wy] |= my;
-                            dist[y as usize] = depth + 1;
-                            grew = true;
-                        }
-                    }
-                }
-            }
-            if !grew {
-                break;
-            }
-            depth += 1;
-            std::mem::swap(&mut frontier, &mut next);
-            next.fill(0);
-        }
-        dist
     }
 
     /// Length of the shortest path between `u` and `v` in the snapshot,
@@ -451,19 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn bitset_bfs_matches_live_bfs_exactly() {
-        let g = churned();
-        let csr = FrozenCsr::from_graph(&g);
-        for i in 0..g.nodes_ever() as u32 {
-            assert_eq!(
-                csr.bfs_distances(n(i)),
-                traversal::bfs_distances(&g, n(i)),
-                "src {i}"
-            );
-        }
-    }
-
-    #[test]
     fn bidirectional_kernels_match_live_kernels_exactly() {
         let g = churned();
         let csr = FrozenCsr::from_graph(&g);
@@ -488,7 +374,7 @@ mod tests {
     fn empty_and_singleton_graphs_freeze() {
         let csr = FrozenCsr::from_graph(&Graph::new());
         assert_eq!(csr.live_count(), 0);
-        assert_eq!(csr.bfs_distances(n(0)), Vec::<Option<u32>>::new());
+        assert_eq!(csr.bidirectional_distance(n(0), n(0)), None);
         let g = Graph::with_nodes(1);
         let csr = FrozenCsr::from_graph(&g);
         assert_eq!(csr.bidirectional_distance(n(0), n(0)), Some(0));
@@ -497,10 +383,13 @@ mod tests {
 
     #[test]
     fn wide_graphs_cross_word_boundaries() {
-        // > 64 live nodes forces multi-word bitsets.
+        // A 200-node cycle: both search waves run 50 levels deep.
         let g = crate::generators::cycle(200);
         let csr = FrozenCsr::from_graph(&g);
-        assert_eq!(csr.bfs_distances(n(0)), traversal::bfs_distances(&g, n(0)));
+        assert_eq!(
+            csr.shortest_path(n(0), n(100)),
+            traversal::shortest_path(&g, n(0), n(100))
+        );
         assert_eq!(csr.bidirectional_distance(n(0), n(100)), Some(100));
     }
 }

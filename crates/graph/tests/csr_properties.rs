@@ -1,8 +1,8 @@
 //! Property tests for the frozen CSR snapshot layer: construction
 //! mirrors the live adjacency exactly, the dense remap is a monotone
-//! bijection over the live ids, and the bitset / bidirectional kernels
-//! return bit-identical answers to [`fg_graph::traversal`] on random
-//! churned graphs — the contract the frozen query path is built on.
+//! bijection over the live ids, and the bidirectional kernels return
+//! bit-identical answers to [`fg_graph::traversal`] on random churned
+//! graphs — the contract the frozen query path is built on.
 
 use fg_graph::{generators, traversal, FrozenCsr, Graph, NodeId};
 use proptest::prelude::*;
@@ -95,21 +95,6 @@ proptest! {
                 prop_assert_eq!(csr.dense(n(i)), None);
             }
         }
-    }
-
-    /// The bitset BFS kernel returns the *same* `DistanceVec` as the
-    /// queue BFS on the live graph — including `None` at dead and
-    /// unreachable ids, and all-`None` from a dead source.
-    #[test]
-    fn bitset_bfs_matches_queue_bfs(
-        base in 3usize..80,
-        ops in prop::collection::vec(any::<u8>(), 0..180),
-        src in any::<u8>(),
-    ) {
-        let g = churned_graph(base, &ops);
-        let csr = FrozenCsr::from_graph(&g);
-        let s = n(u32::from(src) % g.nodes_ever() as u32);
-        prop_assert_eq!(csr.bfs_distances(s), traversal::bfs_distances(&g, s));
     }
 
     /// The dense bidirectional search agrees with the live kernel on

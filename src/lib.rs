@@ -33,9 +33,9 @@ pub use fg_store as store;
 /// One-stop imports for driving any healer through the typed
 /// operation/outcome API — write side *and* read side: every healer
 /// hands out epoch-stamped snapshot views (`view()`) answering
-/// [`QueryOps`](fg_core::QueryOps) reads, with
-/// [`QueryCache`](fg_core::QueryCache) as the landmark-cached serving
-/// layer.
+/// [`QueryOps`](fg_core::QueryOps) reads, and `view().freeze()`
+/// publishes the [`FrozenView`](fg_core::FrozenView) the server answers
+/// from.
 ///
 /// ```
 /// use forgiving_graph::prelude::*;
@@ -62,9 +62,9 @@ pub mod prelude {
         WORKLOADS,
     };
     pub use fg_core::{
-        stretch_ratio, BatchReport, CacheStats, EngineError, ForgivingGraph, FrozenQueryCache,
-        GraphView, HealOutcome, HealerObserver, InsertReport, NetworkEvent, NoopObserver,
-        PlacementPolicy, QueryCache, QueryOps, RepairReport, SelfHealer, View,
+        stretch_ratio, BatchReport, EngineError, ForgivingGraph, GraphView, HealOutcome,
+        HealerObserver, InsertReport, NetworkEvent, NoopObserver, PlacementPolicy, QueryOps,
+        RepairReport, SelfHealer, View,
     };
     pub use fg_dist::{DistHealer, Network, RepairCost};
     pub use fg_graph::{Graph, NodeId};

@@ -1,12 +1,11 @@
 //! Query differential suite: every answer the read API gives — through
-//! an engine view, a distributed-protocol view, a frozen CSR snapshot
-//! (`FrozenView`: bitset BFS kernels over the dense remap), or the
-//! incrementally invalidated [`QueryCache`] on either backing — must
-//! equal fresh-BFS ground truth on the materialized image graph, at many
-//! points along the same 144 adversarial traces the state differential
-//! suite replays (12 seeds × 2 placement policies × 2 workloads × 3
-//! adversaries). The frozen path is held to a stricter bar than
-//! agreement: answers must be **bit-identical** to the live view's,
+//! an engine view, a distributed-protocol view, or a frozen CSR snapshot
+//! of either (`FrozenView`, the dense kernels the server answers from) —
+//! must equal fresh-BFS ground truth on the materialized image graph, at
+//! many points along the same 144 adversarial traces the state
+//! differential suite replays (12 seeds × 2 placement policies × 2
+//! workloads × 3 adversaries). The frozen path is held to a stricter bar
+//! than agreement: answers must be **bit-identical** to the live view's,
 //! including shortest-path node sequences, on both backends.
 //!
 //! Checked per checkpoint, for a seeded pair sample:
@@ -18,26 +17,14 @@
 //! * `same_component` equals distance reachability;
 //! * `stretch(u, v)` equals the ratio convention applied to fresh ghost
 //!   and image BFS vectors (the same convention `fg_metrics` aggregates);
-//! * the [`QueryCache`] — fed every event's typed outcome, so its
-//!   landmarks live through leaf extensions, shortcut relaxations,
-//!   component merges and deletion drops — answers identically;
-//! * the [`FrozenQueryCache`] serving tier — noted and re-published
-//!   after every event, its persistent ghost landmark state relaxed in
-//!   place across the whole trace — answers every scalar identically
-//!   and returns valid shortest paths;
 //! * engine and protocol views agree with each other and carry the same
 //!   epoch.
-//!
-//! [`FrozenQueryCache`]: forgiving_graph::core::FrozenQueryCache
-//!
-//! [`QueryCache`]: forgiving_graph::core::QueryCache
 
 use forgiving_graph::adversary::{
     run_attack, Adversary, ChurnAdversary, MaxDegreeDeleter, RandomDeleter,
 };
 use forgiving_graph::core::{
-    stretch_ratio, ForgivingGraph, FrozenQueryCache, GraphView, PlacementPolicy, QueryCache,
-    QueryOps, SelfHealer,
+    stretch_ratio, ForgivingGraph, GraphView, PlacementPolicy, QueryOps, SelfHealer,
 };
 use forgiving_graph::dist::DistHealer;
 use forgiving_graph::graph::{generators, traversal, Graph, NodeId};
@@ -98,15 +85,7 @@ fn ground_truth(
     (di, dg, stretch)
 }
 
-fn check_view(
-    label: &str,
-    step: usize,
-    view: &impl GraphView,
-    cache: &mut QueryCache,
-    frozen_cache: &mut QueryCache,
-    tier: &mut FrozenQueryCache,
-    pairs: &[(NodeId, NodeId)],
-) {
+fn check_view(label: &str, step: usize, view: &impl GraphView, pairs: &[(NodeId, NodeId)]) {
     // Freeze once per checkpoint — the epoch-stamped CSR snapshot every
     // frozen-path read below runs against.
     let frozen = view.freeze();
@@ -143,37 +122,10 @@ fn check_view(
             "{ctx}: degree"
         );
 
-        // The landmark cache — still warm from earlier checkpoints and
-        // incrementally invalidated ever since — must answer exactly
-        // the same.
-        assert_eq!(cache.distance(view, u, v), want_d, "{ctx}: cached distance");
-        assert_eq!(cache.stretch(view, u, v), want_s, "{ctx}: cached stretch");
-        assert_eq!(
-            cache.same_component(view, u, v),
-            want_d.is_some(),
-            "{ctx}: cached comp"
-        );
-        let cached_path = cache.path(view, u, v);
-        match (&cached_path, want_d) {
-            (None, None) => {}
-            (Some(path), Some(d)) => {
-                assert_eq!(path.len() as u32, d + 1, "{ctx}: cached path length");
-                assert_eq!(path.first(), Some(&u), "{ctx}: cached path start");
-                assert_eq!(path.last(), Some(&v), "{ctx}: cached path end");
-                for pair in path.windows(2) {
-                    assert!(
-                        view.image().has_edge(pair[0], pair[1]),
-                        "{ctx}: cached path edge {pair:?}"
-                    );
-                }
-            }
-            (got, want) => panic!("{ctx}: cached path {got:?} vs distance {want:?}"),
-        }
-
         // The frozen CSR snapshot must be *bit-identical* to the live
         // view — not just equally short paths, the same node sequence:
-        // the dense remap is monotone and the bitset/bidirectional
-        // kernels mirror the live traversal order exactly.
+        // the dense remap is monotone and the bidirectional kernel
+        // mirrors the live traversal order exactly.
         assert_eq!(frozen.distance(u, v), want_d, "{ctx}: frozen distance");
         assert_eq!(frozen.path(u, v), view.path(u, v), "{ctx}: frozen path");
         assert_eq!(
@@ -183,59 +135,6 @@ fn check_view(
         );
         assert_eq!(frozen.stretch(u, v), want_s, "{ctx}: frozen stretch");
         assert_eq!(frozen.degree(u), view.degree(u), "{ctx}: frozen degree");
-
-        // And the frozen-path cache — fed the same per-event folds as
-        // the live cache, so its landmark state is identical — answers
-        // bit-identically too, including path node sequences.
-        assert_eq!(
-            frozen_cache.distance(&frozen, u, v),
-            want_d,
-            "{ctx}: frozen cached distance"
-        );
-        assert_eq!(
-            frozen_cache.stretch(&frozen, u, v),
-            want_s,
-            "{ctx}: frozen cached stretch"
-        );
-        assert_eq!(
-            frozen_cache.same_component(&frozen, u, v),
-            want_d.is_some(),
-            "{ctx}: frozen cached comp"
-        );
-        assert_eq!(
-            frozen_cache.path(&frozen, u, v),
-            cached_path,
-            "{ctx}: frozen cached path"
-        );
-
-        // The dedicated serving tier answers from its own published
-        // snapshot (per-epoch image memos + persistent ghost landmarks)
-        // — scalar answers exact, paths valid shortest paths (its
-        // gradient source may differ from the live cache's).
-        assert_eq!(tier.epoch(), Some(view.epoch()), "{ctx}: tier epoch");
-        assert_eq!(tier.distance(u, v), want_d, "{ctx}: tier distance");
-        assert_eq!(tier.stretch(u, v), want_s, "{ctx}: tier stretch");
-        assert_eq!(
-            tier.same_component(u, v),
-            want_d.is_some(),
-            "{ctx}: tier comp"
-        );
-        assert_eq!(tier.degree(u), view.degree(u), "{ctx}: tier degree");
-        match (tier.path(u, v), want_d) {
-            (None, None) => {}
-            (Some(path), Some(d)) => {
-                assert_eq!(path.len() as u32, d + 1, "{ctx}: tier path length");
-                assert_eq!(path.first(), Some(&u), "{ctx}: tier path start");
-                assert_eq!(path.last(), Some(&v), "{ctx}: tier path end");
-                for pair in path.windows(2) {
-                    assert!(
-                        view.image().has_edge(pair[0], pair[1]),
-                        "{ctx}: tier path edge {pair:?}"
-                    );
-                }
-            }
-            (got, want) => panic!("{ctx}: tier path {got:?} vs distance {want:?}"),
-        }
     }
 }
 
@@ -256,36 +155,12 @@ fn lockstep_query_replay(
 
     let mut fg = ForgivingGraph::from_graph_with_policy(g, policy).unwrap();
     let mut dist = DistHealer::from_graph(g, policy);
-    // Both caches are fed every event and live across the whole trace,
-    // so checkpoints after invalidations (drops, relaxations, merges)
-    // are exercised by construction.
-    let mut fg_cache = QueryCache::new(8);
-    let mut dist_cache = QueryCache::new(8);
-    // The frozen-path twins: identical capacity, fed the same events but
-    // against per-event CSR snapshots, so their landmark state stays in
-    // lockstep with the live caches and every checkpoint can demand
-    // bit-identical answers.
-    let mut fg_frozen = QueryCache::new(8);
-    let mut dist_frozen = QueryCache::new(8);
-    // The dedicated serving tiers: noted and re-published after every
-    // event, so their per-epoch image memos and persistent ghost
-    // landmark state live through the whole trace.
-    let mut fg_tier = FrozenQueryCache::new(8);
-    let mut dist_tier = FrozenQueryCache::new(8);
     let mut checkpoints = 0usize;
     let last = log.events.len().saturating_sub(1);
     for (step, event) in log.events.iter().enumerate() {
         let a = SelfHealer::apply_event(&mut fg, event).unwrap();
         let b = SelfHealer::apply_event(&mut dist, event).unwrap();
         assert_eq!(a, b, "{label}: outcomes diverged at step {step}");
-        fg_cache.note_event(&fg.view(), event, &a);
-        dist_cache.note_event(&SelfHealer::view(&dist), event, &b);
-        fg_frozen.note_event(&fg.view().freeze(), event, &a);
-        dist_frozen.note_event(&SelfHealer::view(&dist).freeze(), event, &b);
-        fg_tier.note_event(&fg.view(), event, &a);
-        fg_tier.publish(&fg.view());
-        dist_tier.note_event(&SelfHealer::view(&dist), event, &b);
-        dist_tier.publish(&SelfHealer::view(&dist));
         if step % stride != 0 && step != last {
             continue;
         }
@@ -294,35 +169,9 @@ fn lockstep_query_replay(
         let dv = SelfHealer::view(&dist);
         assert_eq!(ev.epoch(), dv.epoch(), "{label}: epochs diverged at {step}");
         let pairs = probe_pairs(ev.ghost().nodes_ever(), step as u64 ^ ev.epoch(), probes);
-        check_view(
-            &format!("{label}/engine"),
-            step,
-            &ev,
-            &mut fg_cache,
-            &mut fg_frozen,
-            &mut fg_tier,
-            &pairs,
-        );
-        check_view(
-            &format!("{label}/dist"),
-            step,
-            &dv,
-            &mut dist_cache,
-            &mut dist_frozen,
-            &mut dist_tier,
-            &pairs,
-        );
+        check_view(&format!("{label}/engine"), step, &ev, &pairs);
+        check_view(&format!("{label}/dist"), step, &dv, &pairs);
     }
-    // Identical folds over bit-identical kernels leave identical cache
-    // behaviour counters at the end of the whole trace.
-    assert_eq!(fg_frozen.stats(), fg_cache.stats(), "{label}: cache stats");
-    assert_eq!(dist_frozen.stats(), dist_cache.stats(), "{label}: dist");
-    // The serving tiers saw the same probe stream over the same graph
-    // evolution on both backends: identical counters, never a flush
-    // (every write was noted) and never a drop (nothing invalidates).
-    assert_eq!(fg_tier.stats(), dist_tier.stats(), "{label}: tier stats");
-    assert_eq!(fg_tier.stats().flushes, 0, "{label}: unnoted writes");
-    assert_eq!(fg_tier.stats().dropped, 0, "{label}: tier drops");
     checkpoints
 }
 
@@ -367,28 +216,4 @@ fn query_answers_match_fresh_bfs_on_all_traces() {
     }
     assert_eq!(traces, 144, "the full trace corpus must be covered");
     assert!(checkpoints > 1000, "only {checkpoints} checkpoints checked");
-}
-
-#[test]
-fn caches_survive_heavy_churn_with_tiny_capacity() {
-    // A capacity-2 cache under churn: constant eviction plus
-    // invalidation, still never a wrong answer.
-    let g = generators::connected_erdos_renyi(20, 0.15, 5);
-    let mut fg = ForgivingGraph::from_graph(&g).unwrap();
-    let mut cache = QueryCache::new(2);
-    let mut adv = ChurnAdversary::new(3, 0.5, 3, 3, 60);
-    let mut scratch = ForgivingGraph::from_graph(&g).unwrap();
-    let log = run_attack(&mut scratch, &mut adv, 60).unwrap();
-    for (step, event) in log.events.iter().enumerate() {
-        let outcome = SelfHealer::apply_event(&mut fg, event).unwrap();
-        cache.note_event(&fg.view(), event, &outcome);
-        let view = fg.view();
-        for &(u, v) in &probe_pairs(view.ghost().nodes_ever(), step as u64, 6) {
-            assert_eq!(cache.distance(&view, u, v), view.distance(u, v));
-            assert_eq!(cache.stretch(&view, u, v), view.stretch(u, v));
-        }
-    }
-    let stats = cache.stats();
-    assert!(stats.evicted > 0, "capacity 2 must evict: {stats:?}");
-    assert!(stats.dropped > 0, "churn must drop vectors: {stats:?}");
 }
