@@ -118,13 +118,6 @@ impl BenchArgs {
         self.raw("json")
     }
 
-    /// The executor width (`--threads`, default 1): how many shard
-    /// workers the distributed backend runs its repair rounds on. Thread
-    /// count never changes results (see `fg_dist`), only wall-clock.
-    pub fn threads(&self) -> usize {
-        self.get("threads", 1usize).max(1)
-    }
-
     /// Total interleaved read queries (`--queries`, default 0 = a pure
     /// write run). E.g. `--events 50000 --queries 200000` is an 80/20
     /// read/write mix.
@@ -223,13 +216,6 @@ mod tests {
         assert_eq!(args.scale_n(64), 32);
         assert_eq!(args.json_path(), Some("out.json"));
         assert_eq!(args.get("threshold", 256usize), 256);
-    }
-
-    #[test]
-    fn threads_defaults_to_one_and_clamps() {
-        assert_eq!(parse(&[]).threads(), 1);
-        assert_eq!(parse(&["--threads", "4"]).threads(), 4);
-        assert_eq!(parse(&["--threads", "0"]).threads(), 1);
     }
 
     #[test]

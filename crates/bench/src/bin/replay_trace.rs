@@ -10,7 +10,6 @@
 //!   distributed protocol in lockstep with the engine, comparing the
 //!   typed outcome of **every** event; the first report mismatch prints
 //!   to stderr and exits with status 1.
-//! * `--threads <w>` — executor width for the `--verify` replay.
 //! * `--expect-digest <path>` — compare the engine's per-event outcome
 //!   digests against a recorded digest file; the first drift prints to
 //!   stderr and exits with status 2.
@@ -38,7 +37,7 @@ use std::time::Instant;
 fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut flags: Vec<(String, String)> = Vec::new();
-    const KNOWN: &[&str] = &["verify", "threads", "expect-digest", "digest-out"];
+    const KNOWN: &[&str] = &["verify", "expect-digest", "digest-out"];
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
@@ -66,7 +65,6 @@ fn main() {
         .cloned()
         .expect("usage: replay_trace <trace-file> [runs] [--verify dist] [--expect-digest f]");
     let runs: usize = positional.get(1).map_or(3, |r| r.parse().expect("runs"));
-    let threads: usize = flag("threads").map_or(1, |t| t.parse().expect("--threads"));
 
     let text = std::fs::read_to_string(&path).expect("readable trace file");
     let sc = Scenario::read_trace(&path, &text);
@@ -75,8 +73,8 @@ fn main() {
     // fail loudly, not publish throughput numbers.
     if let Some(backend) = flag("verify") {
         assert_eq!(backend, "dist", "--verify supports exactly: dist");
-        match verify_engine_vs_dist(&sc, threads) {
-            Ok(events) => eprintln!("verify: {events} events, engine == dist ({threads} threads)"),
+        match verify_engine_vs_dist(&sc) {
+            Ok(events) => eprintln!("verify: {events} events, engine == dist"),
             Err(mismatch) => {
                 eprintln!("verify FAILED: {mismatch}");
                 std::process::exit(1);

@@ -19,9 +19,6 @@
 //!
 //! Flags (all optional): `--workloads a,b,c`, `--n <initial size>`,
 //! `--events <count>`, `--batch <size>`, `--backend engine|dist|both`,
-//! `--threads <w>` (executor width for the dist backend),
-//! `--threads-sweep w1,w2,...` (replay the dist backend once per width
-//! and emit a `threads_sweep` comparison section),
 //! `--queries <count>` / `--query-mix dist:80,path:10,stretch:10` /
 //! `--query-seed <u64>` / `--query-hot <k>` (the mixed read workload),
 //! `--profile 1` (per-phase wall times — insert/gather/strip/plan/merge
@@ -89,19 +86,6 @@ fn run_backend(
     }
 }
 
-fn run_dist(
-    sc: &Scenario,
-    batch: usize,
-    threads: usize,
-    wl: Option<&QueryWorkload>,
-    profile: bool,
-) -> BackendRun {
-    let mut healer =
-        DistHealer::from_graph_threaded(&sc.initial, PlacementPolicy::Adjacent, threads);
-    let runner = ScenarioRunner::new(batch).with_threads(threads);
-    run_backend(&runner, sc, &mut healer, wl, profile)
-}
-
 /// The `--profile` JSON entry for one run: write-side phase seconds (and
 /// how much of the ingestion wall they cover) plus the read-side time
 /// buckets from the mixed workload.
@@ -140,7 +124,6 @@ fn main() {
     let n = args.scale_n(args.get("n", 1024usize));
     let events = args.get("events", 50_000usize);
     let batch = args.get("batch", 256usize);
-    let threads = args.threads();
     let backend = args.get("backend", "engine".to_string());
     if !["engine", "dist", "both"].contains(&backend.as_str()) {
         BenchArgs::fail(&format!(
@@ -166,7 +149,6 @@ fn main() {
         [
             "workload",
             "backend",
-            "threads",
             "events",
             "deletes",
             "wall s",
@@ -190,24 +172,12 @@ fn main() {
         ],
     );
     let mut results: Vec<BackendRun> = Vec::new();
-    let mut sweeps = Vec::new();
     for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let sc = scenario(name, n, events, seed);
         if let Some(path) = args.raw("trace-out") {
             std::fs::write(path, sc.to_trace()).expect("writing --trace-out");
             eprintln!("wrote trace to {path}");
         }
-        let dist_backend = backend == "dist" || backend == "both";
-        let sweep = if dist_backend {
-            args.raw("threads-sweep")
-        } else {
-            if args.raw("threads-sweep").is_some() {
-                eprintln!(
-                    "--threads-sweep replays the dist backend; ignored with --backend {backend}"
-                );
-            }
-            None
-        };
         let mut runs: Vec<BackendRun> = Vec::new();
         if backend == "engine" || backend == "both" {
             let mut fg = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
@@ -242,39 +212,15 @@ fn main() {
                 }
             }
         }
-        // With a sweep, the sweep's widths *are* the dist runs — a
-        // standalone run at `--threads` would just duplicate one of them.
-        if dist_backend && sweep.is_none() {
-            runs.push(run_dist(&sc, batch, threads, workload.as_ref(), profile));
-        }
-        // The threads sweep: the *same* trace through the dist backend at
-        // every requested width. Results are bit-identical by the
-        // executor's determinism contract; only wall-clock may move.
-        if let Some(widths) = sweep {
-            let mut entries = Vec::new();
-            let mut base_wall = None;
-            for w in widths.split(',').filter_map(|t| t.trim().parse().ok()) {
-                let run = run_dist(&sc, batch, w, workload.as_ref(), profile);
-                let base = *base_wall.get_or_insert(run.result.wall_seconds);
-                entries.push(
-                    Json::obj()
-                        .field("threads", Json::Int(w as i64))
-                        .field("wall_seconds", Json::Float(run.result.wall_seconds))
-                        .field("events_per_sec", Json::Float(run.result.events_per_sec))
-                        .field(
-                            "speedup_vs_first",
-                            Json::Float(fg_bench::rate(base, run.result.wall_seconds)),
-                        ),
-                );
-                runs.push(run);
-            }
-            sweeps.push(
-                Json::obj()
-                    .field("scenario", Json::str(name))
-                    .field("backend", Json::str("fg-dist"))
-                    .field("events", Json::Int(events as i64))
-                    .field("entries", Json::Arr(entries)),
-            );
+        if backend == "dist" || backend == "both" {
+            let mut dist = DistHealer::from_graph(&sc.initial, PlacementPolicy::Adjacent);
+            runs.push(run_backend(
+                &runner,
+                &sc,
+                &mut dist,
+                workload.as_ref(),
+                profile,
+            ));
         }
 
         for run in runs {
@@ -282,7 +228,6 @@ fn main() {
             table.push_row([
                 result.scenario.clone(),
                 result.backend.clone(),
-                result.threads.to_string(),
                 result.events.to_string(),
                 result.deletes.to_string(),
                 format!("{:.3}", result.wall_seconds),
@@ -321,7 +266,6 @@ fn main() {
         .field("events", Json::Int(events as i64))
         .field("batch", Json::Int(batch as i64))
         .field("seed", Json::Int(seed as i64))
-        .field("threads", Json::Int(threads as i64))
         .field("host_cpus", Json::Int(host_cpus as i64));
     if let Some(dir) = &wal_dir {
         config = config
@@ -347,9 +291,6 @@ fn main() {
     let mut report = Json::obj()
         .field("bench", Json::str("throughput"))
         .field("config", config);
-    if !sweeps.is_empty() {
-        report = report.field("threads_sweep", Json::Arr(sweeps));
-    }
     let profiles: Vec<Json> = results.iter().filter_map(profile_json).collect();
     if !profiles.is_empty() {
         report = report.field("profile", Json::Arr(profiles));

@@ -31,11 +31,8 @@ use rand_chacha::ChaCha8Rng;
 pub enum ReplayBackend {
     /// The sequential reference engine.
     Engine,
-    /// The message-passing protocol at the given executor width.
-    Dist {
-        /// Worker threads for the round executor (1 = inline).
-        threads: usize,
-    },
+    /// The message-passing protocol.
+    Dist,
 }
 
 impl ReplayBackend {
@@ -45,10 +42,9 @@ impl ReplayBackend {
             ReplayBackend::Engine => {
                 Box::new(ForgivingGraph::from_graph(&sc.initial).expect("fresh G0 from trace"))
             }
-            ReplayBackend::Dist { threads } => Box::new(DistHealer::from_graph_threaded(
+            ReplayBackend::Dist => Box::new(DistHealer::from_graph(
                 &sc.initial,
                 PlacementPolicy::Adjacent,
-                threads,
             )),
         }
     }
@@ -152,20 +148,17 @@ impl std::fmt::Display for OutcomeMismatch {
     }
 }
 
-/// Replays `sc` through the engine and the distributed protocol (at
-/// `threads` executor width) in lockstep, comparing the typed outcome of
-/// every event. Returns the number of events verified.
+/// Replays `sc` through the engine and the distributed protocol in
+/// lockstep, comparing the typed outcome of every event. Returns the
+/// number of events verified.
 ///
 /// # Errors
 ///
 /// The first per-event report mismatch (boxed — it carries both
 /// reports), or the first [`EngineError`] from either healer.
-pub fn verify_engine_vs_dist(
-    sc: &Scenario,
-    threads: usize,
-) -> Result<usize, Box<dyn std::error::Error>> {
+pub fn verify_engine_vs_dist(sc: &Scenario) -> Result<usize, Box<dyn std::error::Error>> {
     let mut engine = ReplayBackend::Engine.build(sc);
-    let mut dist = ReplayBackend::Dist { threads }.build(sc);
+    let mut dist = ReplayBackend::Dist.build(sc);
     for (index, event) in sc.events.iter().enumerate() {
         let a = engine.apply_event(event)?;
         let b = dist.apply_event(event)?;
@@ -265,20 +258,14 @@ mod tests {
         let sc = scenario("er", 20, 60, 11);
         let engine = replay_digests(&sc, ReplayBackend::Engine).expect("engine replay");
         assert_eq!(engine.len(), 60);
-        for threads in [1, 3] {
-            let dist = replay_digests(&sc, ReplayBackend::Dist { threads }).expect("dist replay");
-            assert_eq!(
-                first_digest_drift(&engine, &dist),
-                None,
-                "{threads} threads"
-            );
-        }
+        let dist = replay_digests(&sc, ReplayBackend::Dist).expect("dist replay");
+        assert_eq!(first_digest_drift(&engine, &dist), None);
     }
 
     #[test]
     fn verify_passes_on_legal_traces() {
         let sc = scenario("churn", 16, 40, 3);
-        assert_eq!(verify_engine_vs_dist(&sc, 2).expect("lockstep"), 40);
+        assert_eq!(verify_engine_vs_dist(&sc).expect("lockstep"), 40);
     }
 
     #[test]
@@ -286,8 +273,7 @@ mod tests {
         let sc = scenario("churn", 20, 50, 9);
         let engine = replay_query_digests(&sc, ReplayBackend::Engine, 0xfade, 4).expect("engine");
         assert_eq!(engine.len(), 50);
-        let dist =
-            replay_query_digests(&sc, ReplayBackend::Dist { threads: 2 }, 0xfade, 4).expect("dist");
+        let dist = replay_query_digests(&sc, ReplayBackend::Dist, 0xfade, 4).expect("dist");
         assert_eq!(first_digest_drift(&engine, &dist), None);
         // Different probe seeds genuinely probe different pairs.
         let other = replay_query_digests(&sc, ReplayBackend::Engine, 0xbeef, 4).expect("engine");

@@ -441,10 +441,6 @@ pub struct RunResult {
     pub final_edges: usize,
     /// The paper's `n` (nodes ever seen) after the run.
     pub nodes_ever: usize,
-    /// Executor width the backend ran at (1 = sequential; >1 = the
-    /// distributed backend's work-sharded round executor). Purely a
-    /// wall-clock knob — results are bit-identical at any width.
-    pub threads: usize,
     /// Image edge units added over the run (from the batch reports).
     pub edges_added: u64,
     /// Image edge units dropped over the run.
@@ -473,7 +469,6 @@ impl RunResult {
             .field("final_nodes", Json::Int(self.final_nodes as i64))
             .field("final_edges", Json::Int(self.final_edges as i64))
             .field("nodes_ever", Json::Int(self.nodes_ever as i64))
-            .field("threads", Json::Int(self.threads as i64))
             .field("edges_added", Json::Int(self.edges_added as i64))
             .field("edges_dropped", Json::Int(self.edges_dropped as i64))
             .field("helpers_created", Json::Int(self.helpers_created as i64))
@@ -508,27 +503,13 @@ impl MixedRunResult {
 pub struct ScenarioRunner {
     /// Events per ingestion batch (also the latency-measurement grain).
     pub batch_size: usize,
-    /// Executor width recorded into every [`RunResult`] (the caller
-    /// constructs the backend at this width; the runner only reports it).
-    pub threads: usize,
 }
 
 impl ScenarioRunner {
-    /// A runner with the given batch size (clamped to ≥ 1), reporting
-    /// sequential (width-1) execution.
+    /// A runner with the given batch size (clamped to ≥ 1).
     pub fn new(batch_size: usize) -> Self {
         ScenarioRunner {
             batch_size: batch_size.max(1),
-            threads: 1,
-        }
-    }
-
-    /// The same runner, recording `threads` (clamped to ≥ 1) as the
-    /// executor width of the backends it drives.
-    pub fn with_threads(self, threads: usize) -> Self {
-        ScenarioRunner {
-            threads: threads.max(1),
-            ..self
         }
     }
 
@@ -729,7 +710,6 @@ impl Tallies {
             final_nodes: healer.image().node_count(),
             final_edges: healer.image().edge_count(),
             nodes_ever: healer.ghost().nodes_ever(),
-            threads: runner.threads,
             edges_added: self.edges_added,
             edges_dropped: self.edges_dropped,
             helpers_created: self.helpers_created,
@@ -791,38 +771,6 @@ mod tests {
         assert_eq!(dist_run.edges_dropped, engine_run.edges_dropped);
         assert_eq!(dist_run.helpers_created, engine_run.helpers_created);
         assert_eq!(dist_run.max_churn, engine_run.max_churn);
-    }
-
-    #[test]
-    fn dist_backend_agrees_across_thread_counts() {
-        let sc = scenario("churn", 24, 80, 9);
-        let run = |threads: usize| {
-            let mut net =
-                DistHealer::from_graph_threaded(&sc.initial, PlacementPolicy::Adjacent, threads);
-            let result = ScenarioRunner::new(16)
-                .with_threads(threads)
-                .run(&sc, &mut net)
-                .expect("dist run");
-            assert_eq!(result.threads, threads);
-            (
-                SelfHealer::image(&net).clone(),
-                net.network().forest_snapshot(),
-                result.edges_added,
-                result.edges_dropped,
-                result.helpers_created,
-                result.max_churn,
-            )
-        };
-        let reference = run(1);
-        for threads in [2, 4] {
-            let (image, forest, added, dropped, helpers, churn) = run(threads);
-            assert_eq!(image, reference.0, "{threads} threads: image diverged");
-            assert_eq!(forest, reference.1, "{threads} threads: forest diverged");
-            assert_eq!(
-                (added, dropped, helpers, churn),
-                (reference.2, reference.3, reference.4, reference.5)
-            );
-        }
     }
 
     #[test]
@@ -927,7 +875,6 @@ mod tests {
             "final_nodes",
             "final_edges",
             "nodes_ever",
-            "threads",
             "edges_added",
             "edges_dropped",
             "helpers_created",

@@ -30,7 +30,7 @@ fn passing_checks_exit_zero() {
     let (trace, digest_file, _) = fixture("ok");
     let out = bin()
         .args([trace.to_str().unwrap(), "1"])
-        .args(["--verify", "dist", "--threads", "2"])
+        .args(["--verify", "dist"])
         .args(["--expect-digest", digest_file.to_str().unwrap()])
         .output()
         .expect("running replay_trace");

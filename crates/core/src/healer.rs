@@ -79,9 +79,9 @@ pub trait SelfHealer {
     /// The borrow makes the snapshot stable for free: no write can run
     /// while a view is alive. Healers whose reads must be globally
     /// consistent with an internal execution engine (the distributed
-    /// protocol's round executor) hand out views only at consistent
-    /// points — `fg_dist` materializes protocol state at round barriers,
-    /// so its views are always quiescent snapshots.
+    /// protocol's round loop) hand out views only at consistent points —
+    /// `fg_dist` runs every repair to quiescence before returning, so its
+    /// views are always quiescent snapshots.
     fn view(&self) -> View<'_> {
         View::over(self.image(), self.ghost())
     }

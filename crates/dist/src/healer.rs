@@ -55,25 +55,11 @@ impl DistHealer {
         DistHealer::new(Network::from_graph(g, policy))
     }
 
-    /// [`DistHealer::from_graph`] with repairs executed across `threads`
-    /// shard workers (see [`Network::from_graph_threaded`]); every
-    /// observable is bit-identical at any width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` contains removed (tombstoned) nodes.
-    pub fn from_graph_threaded(g: &Graph, policy: PlacementPolicy, threads: usize) -> Self {
-        DistHealer::new(Network::from_graph_threaded(g, policy, threads))
-    }
-
-    /// The executor width (see [`Network::threads`]).
-    pub fn threads(&self) -> usize {
-        self.net.threads()
-    }
-
-    /// Re-shards the executor (see [`Network::set_threads`]).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.net.set_threads(threads);
+    /// [`DistHealer::from_graph`]; the width argument is ignored. Kept
+    /// only until `perfbench`'s heal-replay calls `from_graph` instead.
+    #[doc(hidden)]
+    pub fn from_graph_threaded(g: &Graph, policy: PlacementPolicy, _threads: usize) -> Self {
+        DistHealer::from_graph(g, policy)
     }
 
     /// The underlying protocol network (forest snapshots, vnode counts).
@@ -172,8 +158,8 @@ mod tests {
         let mut engine = fg_core::ForgivingGraph::from_graph(&g).unwrap();
         let _ = SelfHealer::delete(&mut dist, n(0)).unwrap();
         let _ = engine.delete(n(0)).unwrap();
-        // The protocol's view is materialized at the round barrier, so
-        // it answers exactly like the engine's.
+        // The protocol's view is taken after the repair quiesced, so it
+        // answers exactly like the engine's.
         let (dv, ev) = (dist.view(), engine.view());
         assert_eq!(dv.epoch(), ev.epoch());
         for u in 1..9u32 {

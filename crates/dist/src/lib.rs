@@ -18,6 +18,12 @@
 //! identical adversarial traces through both and asserts image, ghost and
 //! forest equality after every event.
 //!
+//! The scheduler is one sequential round loop. Each round delivers its
+//! messages in a canonical total order, and the loop visits only the
+//! processors a repair touches, so simulating a repair costs the order of
+//! the messages Lemma 4 counts rather than the size of the network
+//! (DESIGN.md §9).
+//!
 //! Every repair returns a [`RepairCost`] with the Lemma 4 observables —
 //! message count, rounds, total bits, and the largest single message —
 //! plus normalizations against the paper envelopes. See DESIGN.md §3–§4
@@ -51,14 +57,11 @@
 #![warn(missing_docs)]
 
 mod cost;
-mod executor;
 mod healer;
 mod message;
 mod network;
 mod processor;
-mod shard;
 
 pub use cost::RepairCost;
 pub use healer::DistHealer;
 pub use network::Network;
-pub use shard::ShardMap;

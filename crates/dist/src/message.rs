@@ -119,10 +119,10 @@ impl Payload {
 ///
 /// Priorities encode the protocol's only real ordering constraints (see
 /// [`Payload::priority`]); the `(sender, seq)` tiebreak is an arbitrary
-/// but *total* deterministic order, so every executor — sequential or
-/// work-sharded across any number of threads — delivers a round's
-/// messages identically. Within one round the key is unique: a sender
-/// numbers its outgoing messages with a per-repair counter.
+/// but *total* deterministic order, so a round's messages are always
+/// delivered in one sequence, independent of the order they were sent
+/// in. Within one round the key is unique: a sender numbers its outgoing
+/// messages with a per-repair counter.
 pub(crate) type OrderKey = (u8, u32, u32);
 
 /// An addressed in-flight message.

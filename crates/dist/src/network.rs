@@ -1,10 +1,13 @@
 //! The network simulator: per-node actors under a deterministic
 //! round-based scheduler, plus the globally materialized views
 //! (`G'`, the image, liveness) that measurements read.
+//!
+//! A repair is one sequential round loop (DESIGN.md §9): each round's
+//! messages are handled in canonical `(priority, sender, seq)` order, and
+//! the phase kickoffs and the end-of-repair clear visit only the
+//! processors the repair has touched, so a repair costs the order of its
+//! messages, not of the network.
 
-use std::sync::Arc;
-
-use fg_core::plan::WireTree;
 use fg_core::{
     EngineError, HealerObserver, ImageGraph, InsertReport, NoopObserver, PlacementPolicy,
     RepairReport, Slot, VKey,
@@ -12,9 +15,8 @@ use fg_core::{
 use fg_graph::{Graph, NodeId, SortedMap, SortedSet};
 
 use crate::cost::{ceil_log2, RepairCost};
-use crate::executor::{Effect, Phase, ProcStore, StepOut};
 use crate::message::Message;
-use crate::processor::{RepairTally, Shared, VLinks};
+use crate::processor::{Ctx, Processor, RepairTally, Shared, VLinks};
 
 /// A self-healing network running the Forgiving Graph's repair as a
 /// message-passing protocol (paper §4 / Lemma 4).
@@ -47,7 +49,8 @@ pub struct Network {
     alive: Vec<bool>,
     image: ImageGraph,
     policy: PlacementPolicy,
-    store: ProcStore,
+    /// One actor per processor ever created, indexed by node id.
+    procs: Vec<Processor>,
     /// Accounting for every repair this network has run, in order.
     pub repair_costs: Vec<RepairCost>,
 }
@@ -55,30 +58,12 @@ pub struct Network {
 impl Network {
     /// Adopts an existing network as `G_0` — pure state initialisation,
     /// no preprocessing messages (the paper's improvement over the
-    /// Forgiving Tree's `O(n log n)` setup). Runs single-threaded; see
-    /// [`Network::from_graph_threaded`].
+    /// Forgiving Tree's `O(n log n)` setup).
     ///
     /// # Panics
     ///
     /// Panics if `g` contains removed (tombstoned) nodes.
     pub fn from_graph(g: &Graph, policy: PlacementPolicy) -> Self {
-        Self::from_graph_threaded(g, policy, 1)
-    }
-
-    /// [`Network::from_graph`] with repairs executed by a work-sharded
-    /// pool of `threads` worker threads (clamped to ≥ 1; 1 means inline
-    /// sequential execution, no pool).
-    ///
-    /// The thread count is an execution knob, not a semantic one: the
-    /// canonical round order makes every observable — reports, costs,
-    /// image, ghost, forest, even the observer callback stream —
-    /// bit-identical at any width (DESIGN.md §9; asserted over all
-    /// differential traces by `tests/parallel_determinism.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` contains removed (tombstoned) nodes.
-    pub fn from_graph_threaded(g: &Graph, policy: PlacementPolicy, threads: usize) -> Self {
         assert_eq!(
             g.node_count(),
             g.nodes_ever(),
@@ -89,14 +74,14 @@ impl Network {
             alive: Vec::new(),
             image: ImageGraph::new(),
             policy,
-            store: ProcStore::new(threads),
+            procs: Vec::new(),
             repair_costs: Vec::new(),
         };
         for i in 0..g.node_count() {
             net.ghost.add_node();
             net.image.add_node();
             net.alive.push(true);
-            net.store.add_proc(NodeId::new(i as u32));
+            net.procs.push(Processor::new(NodeId::new(i as u32)));
         }
         for e in g.edges() {
             net.ghost
@@ -105,24 +90,6 @@ impl Network {
             net.image.inc(e.lo(), e.hi());
         }
         net
-    }
-
-    /// The executor width: 1 when repairs run inline, otherwise the
-    /// worker-pool thread count.
-    pub fn threads(&self) -> usize {
-        self.store.threads()
-    }
-
-    /// Re-shards the actors onto a pool of `threads` workers (1 tears the
-    /// pool down and goes back to inline execution). Cheap outside of
-    /// repairs; every observable is unaffected.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads == self.store.threads() {
-            return;
-        }
-        let procs = std::mem::replace(&mut self.store, ProcStore::new(1)).into_procs();
-        self.store = ProcStore::from_procs(procs, threads);
     }
 
     /// The insert-only graph `G'`.
@@ -140,14 +107,13 @@ impl Network {
         self.alive.get(v.index()).copied().unwrap_or(false)
     }
 
-    /// An epoch-stamped read-only snapshot of the protocol state **at a
-    /// round barrier**.
+    /// An epoch-stamped read-only snapshot of the **quiescent** protocol
+    /// state.
     ///
-    /// Between public operations the round executor has always run to
-    /// quiescence: every effect log of the last repair round was merged
-    /// and applied to the shared `ProcStore` surface at the barrier, so
-    /// the image this view exposes is the exact materialization of the
-    /// per-processor state — never a mid-round mixture. Query it through
+    /// Every public operation runs its repair to quiescence before it
+    /// returns, so the image this view exposes is the exact
+    /// materialization of the per-processor state — never a mid-round
+    /// mixture. Query it through
     /// `fg_core::QueryOps`; the query differential suite asserts its
     /// answers are bit-identical to the sequential engine's views along
     /// every adversarial trace.
@@ -172,7 +138,7 @@ impl Network {
 
     /// Number of virtual nodes currently alive across all processors.
     pub fn vnode_count(&self) -> usize {
-        self.store.vnode_count()
+        self.procs.iter().map(|p| p.vnodes.len()).sum()
     }
 
     /// The distributed reconstruction forest, flattened for comparison
@@ -191,7 +157,12 @@ impl Network {
         u32,
         Slot,
     )> {
-        let mut out = self.store.snapshot();
+        let mut out: Vec<_> = self
+            .procs
+            .iter()
+            .flat_map(|p| p.vnodes.iter())
+            .map(|(key, n)| (*key, n.parent, n.left, n.right, n.leaves, n.height, n.rep))
+            .collect();
         out.sort_by_key(|entry| entry.0);
         out
     }
@@ -238,7 +209,7 @@ impl Network {
         let iv = self.image.add_node();
         debug_assert_eq!(v, iv, "ghost and image ids must stay aligned");
         self.alive.push(true);
-        self.store.add_proc(v);
+        self.procs.push(Processor::new(v));
         for &x in neighbors {
             self.ghost.add_edge(v, x).expect("fresh node, fresh edges");
             self.image.inc(v, x);
@@ -299,18 +270,8 @@ impl Network {
         if !self.is_alive(v) {
             return Err(EngineError::NotAlive(v));
         }
-        let mut tally = RepairTally::default();
         let victim_degree = self.ghost.degree(v);
         let nodes_ever = self.ghost.nodes_ever();
-        let name_bits = ceil_log2(nodes_ever);
-        let mut cost = RepairCost {
-            victim_degree,
-            messages: 0,
-            rounds: 0,
-            bits: 0,
-            max_message_bits: 0,
-            nodes_ever,
-        };
 
         // ------------------------------------------------------------
         // Phase 0 — the failure is detected. The victim's will (its slot
@@ -322,7 +283,7 @@ impl Network {
             .neighbors(v)
             .filter(|&x| self.is_alive(x))
             .collect();
-        let removed: SortedMap<VKey, VLinks> = self.store.take_will(v).into_iter().collect();
+        let removed: SortedMap<VKey, VLinks> = self.procs[v.index()].take_will();
         let mut anchor_set = SortedSet::new();
         for links in removed.values() {
             for adj in links
@@ -339,81 +300,74 @@ impl Network {
         for &x in &alive_nbrs {
             anchor_set.insert(Slot::new(x, v).real());
         }
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             victim: v,
             alive_nbrs,
             removed,
             anchors: anchor_set.iter().copied().collect(),
             anchor_set,
             policy: self.policy,
-        });
+        };
         self.alive[v.index()] = false;
 
+        let mut ctx = Ctx {
+            outbox: Vec::new(),
+            image: &mut self.image,
+            obs,
+            tally: RepairTally::default(),
+            btv_root: None,
+        };
         // The victim's processor vanishes; internal tree edges between two
         // of its own virtual nodes collapse to self-loops nobody else can
         // release, so the simulator settles them here. The victim's own
         // virtual nodes (leaves and helpers) are what the will removes.
-        let mut victim_internal = 0u32;
         for (key, links) in shared.removed.iter() {
             if key.is_real() {
-                tally.leaves_removed += 1;
+                ctx.tally.leaves_removed += 1;
             } else {
-                tally.helpers_freed += 1;
+                ctx.tally.helpers_freed += 1;
             }
             for child in links.left.iter().chain(links.right.iter()) {
                 if shared.removed.contains_key(child) {
-                    victim_internal += 1;
+                    ctx.edge_drop(v, v);
                 }
             }
         }
-        for _ in 0..victim_internal {
-            self.image.dec(v, v);
-            tally.edges_dropped += 1;
-            obs.on_repair_edge(v, v, false);
-        }
 
-        // Hand the repair context to every executor, then run the phases:
-        // failure detection at the victim's image neighbours, the taint
-        // climb it seeds (phase 1), and one kickoff + message burst for
-        // each of the shatter walk (2), bucket routing (3) and the
-        // bottom-up BT_v merge (4). Each burst runs to quiescence through
-        // the work-sharded executor; effects surface at the barriers.
-        self.store.begin(&shared);
-        let affected: Vec<NodeId> = self.image.simple().neighbor_vec(v);
-        let mut btv_root: Option<WireTree> = None;
-
-        cost.rounds += 1;
-        let step = self.store.detect(&affected, &shared);
-        let queue = self.absorb(step, name_bits, &mut cost, &mut tally, &mut btv_root, obs);
-        self.drain(
-            queue,
-            &shared,
-            name_bits,
-            &mut cost,
-            &mut tally,
-            &mut btv_root,
-            obs,
-        );
-        for phase in [Phase::Walks, Phase::Buckets, Phase::Merges] {
-            cost.rounds += 1;
-            let step = self.store.trigger(phase, &shared);
-            let queue = self.absorb(step, name_bits, &mut cost, &mut tally, &mut btv_root, obs);
-            self.drain(
-                queue,
-                &shared,
-                name_bits,
-                &mut cost,
-                &mut tally,
-                &mut btv_root,
-                obs,
-            );
+        // Run the phases: failure detection at the victim's image
+        // neighbours, the taint climb it seeds (phase 1), and one kickoff
+        // + message burst for each of the shatter walk (2), bucket routing
+        // (3) and the bottom-up BT_v merge (4).
+        let mut rounds = RoundLoop {
+            touched: ctx.image.simple().neighbors(v).collect(),
+            procs: &mut self.procs,
+            shared: &shared,
+            ctx,
+            cost: RepairCost {
+                victim_degree,
+                messages: 0,
+                rounds: 0,
+                bits: 0,
+                max_message_bits: 0,
+                nodes_ever,
+            },
+        };
+        for phase in [Phase::Detect, Phase::Walks, Phase::Buckets, Phase::Merges] {
+            rounds.kickoff(phase);
         }
+        let RoundLoop {
+            touched, ctx, cost, ..
+        } = rounds;
+        let Ctx {
+            tally, btv_root, ..
+        } = ctx;
 
         // Quiesced: the victim is fully detached. Repair scratch is
-        // cleared everywhere — the taint climb, strips and plan execution
-        // reach processors far beyond the victim's neighbourhood.
+        // cleared wherever it can exist — at the touched processors.
         self.image.remove_node(v);
-        self.store.end_repair();
+        for u in &touched {
+            self.procs[u.index()].end_repair();
+        }
 
         // The structural report — field for field what the sequential
         // engine computes from its own stats deltas, derived here from the
@@ -458,74 +412,76 @@ impl Network {
         self.repair_costs.push(cost.clone());
         Ok((report, cost))
     }
+}
 
-    /// Folds one barrier-merged step into the coordinator state: counts
-    /// the freshly sent messages against the Lemma 4 budget, sums the
-    /// shard tallies, and applies the canonical effect log — image edge
-    /// units (streamed to `obs` as they land) and the `BT_v` root
-    /// deposit. Returns the outbox seeding the next round.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb(
-        &mut self,
-        step: StepOut,
-        name_bits: u64,
-        cost: &mut RepairCost,
-        tally: &mut RepairTally,
-        btv_root: &mut Option<WireTree>,
-        obs: &mut dyn HealerObserver,
-    ) -> Vec<Message> {
-        Self::tally(&step.outbox, name_bits, cost);
-        tally.absorb(&step.tally);
-        for (_key, effect) in step.effects {
-            match effect {
-                Effect::Edge { u, v, added: true } => {
-                    self.image.inc(u, v);
-                    tally.edges_added += 1;
-                    obs.on_repair_edge(u, v, true);
-                }
-                Effect::Edge { u, v, added: false } => {
-                    self.image.dec(u, v);
-                    tally.edges_dropped += 1;
-                    obs.on_repair_edge(u, v, false);
-                }
-                Effect::BtvRoot(root) => *btv_root = root,
+/// The kickoff that opens each phase of a repair.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Failure detection: every image neighbour of the victim processes
+    /// the will.
+    Detect,
+    /// Start the shatter walk at every fragment seed.
+    Walks,
+    /// Route every fragment's bucket to its smallest anchor.
+    Buckets,
+    /// Fire every `BT_v` position a processor anchors.
+    Merges,
+}
+
+/// One repair's sequential round loop.
+struct RoundLoop<'a> {
+    procs: &'a mut [Processor],
+    shared: &'a Shared,
+    ctx: Ctx<'a>,
+    /// Every processor that can hold repair scratch: the victim's image
+    /// neighbours, where `receive_will` runs, plus every delivered
+    /// message's destination. Scratch arises nowhere else, so kickoffs
+    /// and the final clear visit only these (DESIGN.md §9).
+    touched: SortedSet<NodeId>,
+    cost: RepairCost,
+}
+
+impl RoundLoop<'_> {
+    /// Runs `phase`'s kickoff round at every touched processor, in id
+    /// order, then delivers message rounds until the network quiesces.
+    fn kickoff(&mut self, phase: Phase) {
+        self.cost.rounds += 1;
+        for u in self.touched.iter() {
+            let p = &mut self.procs[u.index()];
+            match phase {
+                Phase::Detect => p.receive_will(self.shared, &mut self.ctx),
+                Phase::Walks => p.start_walks(self.shared, &mut self.ctx),
+                Phase::Buckets => p.route_buckets(&mut self.ctx),
+                Phase::Merges => p.start_merges(self.shared, &mut self.ctx),
             }
         }
-        step.outbox
-    }
-
-    /// Delivers messages round by round until the network quiesces: each
-    /// iteration is one synchronous round, executed by the store (inline
-    /// or work-sharded) and folded back in at the barrier.
-    #[allow(clippy::too_many_arguments)]
-    fn drain(
-        &mut self,
-        mut queue: Vec<Message>,
-        shared: &Shared,
-        name_bits: u64,
-        cost: &mut RepairCost,
-        tally: &mut RepairTally,
-        btv_root: &mut Option<WireTree>,
-        obs: &mut dyn HealerObserver,
-    ) {
-        while !queue.is_empty() {
-            cost.rounds += 1;
-            let step = self.store.deliver(queue, shared);
-            queue = self.absorb(step, name_bits, cost, tally, btv_root, obs);
+        loop {
+            let mut queue = std::mem::take(&mut self.ctx.outbox);
+            if queue.is_empty() {
+                return;
+            }
+            self.count(&queue);
+            self.cost.rounds += 1;
+            queue.sort_by_key(Message::key);
+            for msg in queue {
+                self.touched.insert(msg.dst);
+                self.procs[msg.dst.index()].handle(msg.payload, self.shared, &mut self.ctx);
+            }
         }
     }
 
-    /// Adds a batch of freshly sent messages to the Lemma 4 tallies.
-    /// Self-addressed messages model local computation and are free.
-    fn tally(outbox: &[Message], name_bits: u64, cost: &mut RepairCost) {
-        for m in outbox {
+    /// Adds one round's messages to the Lemma 4 tallies. Self-addressed
+    /// messages model local computation and are free.
+    fn count(&mut self, queue: &[Message]) {
+        let name_bits = ceil_log2(self.cost.nodes_ever);
+        for m in queue {
             if m.src == m.dst {
                 continue;
             }
             let bits = m.payload.bits(name_bits);
-            cost.messages += 1;
-            cost.bits += bits;
-            cost.max_message_bits = cost.max_message_bits.max(bits);
+            self.cost.messages += 1;
+            self.cost.bits += bits;
+            self.cost.max_message_bits = self.cost.max_message_bits.max(bits);
         }
     }
 }
@@ -649,56 +605,34 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_is_unobservable() {
-        // The tentpole claim in miniature (the full 144-trace sweep lives
-        // in tests/parallel_determinism.rs): costs, forests, images and
-        // reports are bit-identical at every executor width.
-        let run = |threads: usize| {
-            let g = generators::connected_erdos_renyi(22, 0.14, 8);
-            let mut net = Network::from_graph_threaded(&g, PlacementPolicy::Adjacent, threads);
-            assert_eq!(net.threads(), threads.max(1));
-            let mut reports = Vec::new();
-            for i in [0u32, 5, 9, 1, 14] {
-                reports.push(net.delete_with(n(i), &mut fg_core::NoopObserver).unwrap());
-            }
-            let inserted = net.insert(&[n(3), n(7)]).unwrap();
-            reports.push(
-                net.delete_with(inserted, &mut fg_core::NoopObserver)
-                    .unwrap(),
-            );
-            (
-                net.forest_snapshot(),
-                net.repair_costs.clone(),
-                net.image().clone(),
-                net.ghost().clone(),
-                reports,
-            )
-        };
-        let reference = run(1);
-        for threads in [2, 3, 4, 8] {
-            assert_eq!(run(threads), reference, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn set_threads_reshards_without_observable_change() {
-        let g = generators::connected_erdos_renyi(20, 0.15, 4);
+    fn repair_scratch_never_outlives_its_repair() {
+        // Kickoffs and the end-of-repair clear visit only the touched
+        // processors, so scratch created anywhere else would survive the
+        // repair. Check every processor after every deletion of a mixed
+        // insert/delete trace, so a leak fails at the repair that made it.
+        let g = generators::connected_erdos_renyi(300, 0.02, 17);
         let mut net = Network::from_graph(&g, PlacementPolicy::Adjacent);
-        net.delete(n(2)).unwrap();
-        let before = net.forest_snapshot();
-        net.set_threads(3);
-        assert_eq!(net.threads(), 3);
-        assert_eq!(net.forest_snapshot(), before, "resharding moved state");
-        net.delete(n(5)).unwrap();
-        net.set_threads(1);
-        assert_eq!(net.threads(), 1);
-
-        // The same trace run flat matches the mid-flight reshard.
-        let mut flat = Network::from_graph(&g, PlacementPolicy::Adjacent);
-        flat.delete(n(2)).unwrap();
-        flat.delete(n(5)).unwrap();
-        assert_eq!(net.forest_snapshot(), flat.forest_snapshot());
-        assert_eq!(net.repair_costs, flat.repair_costs);
+        let mut fg = ForgivingGraph::from_graph(&g).unwrap();
+        let mut live: Vec<NodeId> = g.iter().collect();
+        let mut pick = 7usize;
+        for step in 0..240 {
+            pick = (pick * 31 + 11) % 1_000_003;
+            if step % 4 == 3 {
+                let (a, b) = (live[pick % live.len()], live[(pick / 7) % live.len()]);
+                let nbrs = if a == b { vec![a] } else { vec![a, b] };
+                let x = net.insert(&nbrs).unwrap();
+                assert_eq!(fg.insert(&nbrs).unwrap(), x);
+                live.push(x);
+            } else {
+                let victim = live.swap_remove(pick % live.len());
+                net.delete(victim).unwrap();
+                let _ = fg.delete(victim).unwrap();
+                for p in &net.procs {
+                    assert!(p.is_idle(), "{} kept scratch after {victim}'s repair", p.id);
+                }
+            }
+        }
+        assert_lockstep(&net, &fg);
     }
 
     #[test]

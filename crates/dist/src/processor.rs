@@ -8,18 +8,17 @@
 //! replicated to its image neighbours while alive).
 
 use fg_core::plan::{plan_compute_haft, WireTree};
-use fg_core::{PlacementPolicy, Slot, VKey};
+use fg_core::{HealerObserver, ImageGraph, PlacementPolicy, Slot, VKey};
 use fg_graph::{NodeId, SortedMap, SortedSet};
 
-use crate::executor::Effect;
-use crate::message::{Message, OrderKey, Payload, Target};
+use crate::message::{Message, Payload, Target};
 
 /// Structural accounting for one repair, filled in as the protocol runs —
 /// the distributed counterpart of the quantities the sequential engine
 /// reads off its own stats. The simulator aggregates these globally (it
 /// can see every actor); a deployment would fold them into the repair's
 /// existing message flow.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub(crate) struct RepairTally {
     pub fragments: usize,
     pub trees_collected: usize,
@@ -30,23 +29,6 @@ pub(crate) struct RepairTally {
     pub helpers_freed: u64,
     pub leaves_created: u64,
     pub leaves_removed: u64,
-}
-
-impl RepairTally {
-    /// Folds a shard's partial tally into this one. Every field is a sum,
-    /// so the fold is order-independent — shard tallies merge to the same
-    /// totals at any thread count.
-    pub(crate) fn absorb(&mut self, part: &RepairTally) {
-        self.fragments += part.fragments;
-        self.trees_collected += part.trees_collected;
-        self.buckets += part.buckets;
-        self.edges_added += part.edges_added;
-        self.edges_dropped += part.edges_dropped;
-        self.helpers_created += part.helpers_created;
-        self.helpers_freed += part.helpers_freed;
-        self.leaves_created += part.leaves_created;
-        self.leaves_removed += part.leaves_removed;
-    }
 }
 
 /// One virtual node's local record — the distributed counterpart of the
@@ -109,40 +91,35 @@ impl Shared {
     }
 }
 
-/// Mutable per-step environment for one handler invocation.
+/// The environment every handler of one repair runs in: the outbox of
+/// the round in progress, the globally materialized image and observer,
+/// and the repair's structural tally and `BT_v` root slot.
 ///
-/// Handlers never touch global observables directly: they append
-/// outbound messages and *effects* (image edge units, the `BT_v` root
-/// deposit), each stamped with the canonical [`OrderKey`] of the message
-/// or trigger being processed (`cur`). The coordinator merges the
-/// per-shard effect logs at the round barrier and applies them in
-/// canonical order — which is what makes the thread count unobservable
-/// (DESIGN.md §9). Structural counters accumulate in a per-shard
-/// [`RepairTally`] and merge by summation.
+/// Handlers run one at a time in canonical order (DESIGN.md §9), so they
+/// apply image edge units and observer callbacks directly, in exactly the
+/// order the protocol produces them.
 pub(crate) struct Ctx<'a> {
-    pub outbox: &'a mut Vec<Message>,
-    pub effects: &'a mut Vec<(OrderKey, Effect)>,
-    pub tally: &'a mut RepairTally,
-    /// Canonical key of the message/trigger this handler is running for.
-    pub cur: OrderKey,
+    pub outbox: Vec<Message>,
+    pub image: &'a mut ImageGraph,
+    pub obs: &'a mut dyn HealerObserver,
+    pub tally: RepairTally,
+    /// The `BT_v` root position's output: the repaired reconstruction tree.
+    pub btv_root: Option<WireTree>,
 }
 
 impl Ctx<'_> {
-    /// Records one image edge unit to add at the barrier.
+    /// Adds one image edge unit.
     fn edge_add(&mut self, u: NodeId, v: NodeId) {
-        self.effects
-            .push((self.cur, Effect::Edge { u, v, added: true }));
+        self.image.inc(u, v);
+        self.tally.edges_added += 1;
+        self.obs.on_repair_edge(u, v, true);
     }
 
-    /// Records one image edge unit to drop at the barrier.
-    fn edge_drop(&mut self, u: NodeId, v: NodeId) {
-        self.effects
-            .push((self.cur, Effect::Edge { u, v, added: false }));
-    }
-
-    /// Records the `BT_v` root's final reconstruction-tree deposit.
-    fn set_btv_root(&mut self, root: Option<WireTree>) {
-        self.effects.push((self.cur, Effect::BtvRoot(root)));
+    /// Drops one image edge unit.
+    pub(crate) fn edge_drop(&mut self, u: NodeId, v: NodeId) {
+        self.image.dec(u, v);
+        self.tally.edges_dropped += 1;
+        self.obs.on_repair_edge(u, v, false);
     }
 }
 
@@ -169,14 +146,13 @@ pub(crate) struct AnchorDuty {
 pub(crate) struct Processor {
     pub id: NodeId,
     pub vnodes: SortedMap<VKey, VState>,
-    // --- per-repair scratch ---
+    // --- per-repair scratch: created only by `receive_will` and
+    // `handle`, so only at processors the round loop has touched ---
     tainted: SortedSet<VKey>,
     pub seeds: SortedMap<VKey, SeedState>,
     pub duties: SortedMap<VKey, AnchorDuty>,
     /// Outgoing-message counter for canonical ordering; monotone within a
-    /// repair, reset at quiescence. A processor's handling sequence is
-    /// itself canonical, so these numbers are identical at any thread
-    /// count.
+    /// repair, reset at quiescence.
     next_seq: u32,
 }
 
@@ -194,6 +170,36 @@ impl Processor {
         self.seeds.clear();
         self.duties.clear();
         self.next_seq = 0;
+    }
+
+    /// Whether this processor holds no repair scratch.
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self) -> bool {
+        self.tainted.is_empty()
+            && self.seeds.is_empty()
+            && self.duties.is_empty()
+            && self.next_seq == 0
+    }
+
+    /// Reads out the victim's will — its virtual nodes' links, in key
+    /// order — and clears its virtual nodes (the victim vanishes).
+    pub(crate) fn take_will(&mut self) -> SortedMap<VKey, VLinks> {
+        let will = self
+            .vnodes
+            .iter()
+            .map(|(k, n)| {
+                (
+                    *k,
+                    VLinks {
+                        parent: n.parent,
+                        left: n.left,
+                        right: n.right,
+                    },
+                )
+            })
+            .collect();
+        self.vnodes.clear();
+        will
     }
 
     fn send(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, payload: Payload) {
@@ -409,7 +415,7 @@ impl Processor {
             Some(plan.output)
         };
         if pos == 0 {
-            ctx.set_btv_root(output);
+            ctx.btv_root = output;
         } else {
             let parent = shared.anchors[(pos - 1) / 2];
             self.send(

@@ -30,8 +30,8 @@ use fg_graph::{generators, NodeId};
 use fg_serve::{Client, Publisher, Request, Server, ServerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The service fronts the *distributed* healer: its views are
-    // materialized at round barriers, so every published snapshot is a
+    // The service fronts the *distributed* healer: every repair runs to
+    // quiescence before it returns, so every published snapshot is a
     // consistent picture of the message-passing protocol's state.
     let g0 = generators::barabasi_albert(96, 2, 7);
     let network = DistHealer::from_graph(&g0, PlacementPolicy::Adjacent);

@@ -22,6 +22,8 @@ use forgiving_graph::bench::replay::{
     replay_query_digests, ReplayBackend,
 };
 use forgiving_graph::bench::{scenario, Scenario};
+use forgiving_graph::core::{PlacementPolicy, ReportDigest, SelfHealer};
+use forgiving_graph::dist::DistHealer;
 use std::path::PathBuf;
 
 /// The corpus: `(workload, n, events, seed)` — small enough to replay in
@@ -77,21 +79,64 @@ fn golden_corpus_matches_engine_replay() {
 }
 
 #[test]
-fn golden_corpus_matches_distributed_replay_at_every_width() {
-    // The same digests through the protocol, sequential and sharded —
-    // the corpus also pins the cross-implementation, cross-thread
-    // convergence contract.
+fn golden_corpus_matches_distributed_replay() {
+    // The same digests through the protocol — the corpus also pins the
+    // cross-implementation convergence contract.
     for &(name, _, _, _) in CORPUS {
         let (sc, recorded) = load(name);
-        for threads in [1usize, 4] {
-            let replayed = replay_digests(&sc, ReplayBackend::Dist { threads })
-                .unwrap_or_else(|e| panic!("{name} @ {threads} threads: replay failed: {e}"));
-            assert_eq!(
-                first_digest_drift(&recorded, &replayed),
-                None,
-                "{name} @ {threads} threads drifted from the golden digests"
-            );
-        }
+        let replayed = replay_digests(&sc, ReplayBackend::Dist)
+            .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
+        assert_eq!(
+            first_digest_drift(&recorded, &replayed),
+            None,
+            "{name} drifted from the golden digests"
+        );
+    }
+}
+
+/// One digest per corpus trace of every Lemma 4 [`RepairCost`] the
+/// protocol records along it, in order. The `.digests` files pin only
+/// the structural reports; these pin how many messages, rounds and bits
+/// each repair took.
+///
+/// [`RepairCost`]: forgiving_graph::dist::RepairCost
+const REPAIR_COST_DIGESTS: &[(&str, u64)] = &[
+    ("churn", 0x228a_9552_be63_7073),
+    ("hub-cascade", 0x21d9_41d9_8860_1bfb),
+    ("partition-then-heal", 0x5ee1_ac03_efcf_5561),
+];
+
+fn repair_cost_digest(sc: &Scenario) -> u64 {
+    let mut dist = DistHealer::from_graph(&sc.initial, PlacementPolicy::Adjacent);
+    for event in &sc.events {
+        let _ = SelfHealer::apply_event(&mut dist, event).expect("legal trace");
+    }
+    dist.costs()
+        .iter()
+        .fold(
+            ReportDigest::new().word(dist.costs().len() as u64),
+            |d, c| {
+                d.word(c.victim_degree as u64)
+                    .word(c.messages)
+                    .word(u64::from(c.rounds))
+                    .word(c.bits)
+                    .word(c.max_message_bits)
+                    .word(c.nodes_ever as u64)
+            },
+        )
+        .value()
+}
+
+#[test]
+fn golden_corpus_pins_distributed_repair_costs() {
+    for &(name, want) in REPAIR_COST_DIGESTS {
+        let (sc, _) = load(name);
+        let got = repair_cost_digest(&sc);
+        assert_eq!(
+            got, want,
+            "{name}: Lemma 4 repair costs drifted (got {got:#018x}) — a repair now sends a \
+             different number of messages, rounds or bits"
+        );
     }
 }
 
@@ -148,20 +193,13 @@ fn golden_query_answers_match_engine_replay() {
 fn golden_query_answers_match_distributed_replay() {
     for &(name, _, _, _) in CORPUS {
         let (sc, recorded) = load_queries(name);
-        for threads in [1usize, 4] {
-            let replayed = replay_query_digests(
-                &sc,
-                ReplayBackend::Dist { threads },
-                QUERY_SEED,
-                QUERY_PROBES,
-            )
-            .unwrap_or_else(|e| panic!("{name} @ {threads} threads: replay failed: {e}"));
-            assert_eq!(
-                first_digest_drift(&recorded, &replayed),
-                None,
-                "{name} @ {threads} threads drifted from the golden query digests"
-            );
-        }
+        let replayed = replay_query_digests(&sc, ReplayBackend::Dist, QUERY_SEED, QUERY_PROBES)
+            .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
+        assert_eq!(
+            first_digest_drift(&recorded, &replayed),
+            None,
+            "{name} drifted from the golden query digests"
+        );
     }
 }
 
