@@ -10,12 +10,12 @@
 //! With `--queries N` the run becomes a mixed read/write workload: `N`
 //! reads are interleaved across the write batches (e.g. `--events 50000
 //! --queries 200000` is an 80/20 read/write mix) and answered through
-//! two timed read paths — served (one `View::freeze` per write batch,
-//! then the `FrozenView` CSR kernels) and the naive per-query-BFS
-//! baseline (sampled; one fresh full BFS per query) — each checked
-//! against the live `QueryOps` answers, so the JSON records
-//! `queries_per_sec` for both, the speedup, and the (hard-gated) zero
-//! answer-mismatch count.
+//! two timed read paths — served (one publish per write batch, advancing
+//! the last `FrozenView` as the server does, then its CSR kernels) and
+//! the naive per-query-BFS baseline (sampled; one fresh full BFS per
+//! query) — each checked against the live `QueryOps` answers, so the
+//! JSON records `queries_per_sec` for both, the speedup, and the
+//! (hard-gated) zero answer-mismatch count.
 //!
 //! Flags (all optional): `--workloads a,b,c`, `--n <initial size>`,
 //! `--events <count>`, `--batch <size>`, `--backend engine|dist|both`,
@@ -23,9 +23,10 @@
 //! `--query-seed <u64>` / `--query-hot <k>` (the mixed read workload),
 //! `--profile 1` (per-phase wall times — insert/gather/strip/plan/merge
 //! on the write side, freeze/query buckets on the read side —
-//! into a `profile` JSON section), `--compact 1` (run the engine
-//! backend with the default arena [`CompactionPolicy`] and record the
-//! post-run arena occupancy),
+//! into a `profile` JSON section), `--compact 0` (run the engine
+//! backend without its default arena [`CompactionPolicy`], for the
+//! uncompacted comparison; the post-run arena occupancy is recorded
+//! either way),
 //! `--trace-out <path>` (dump the trace for cross-ref replays),
 //! `--wal <dir>` (run the engine backend through a [`DurableHealer`]
 //! so every event is logged-then-fsynced before acknowledgement) with
@@ -136,7 +137,7 @@ fn main() {
     let workload = args.query_workload(seed.wrapping_add(0x9e37));
     let wal_dir = args.raw("wal").map(std::path::PathBuf::from);
     let profile = args.get("profile", 0usize) != 0;
-    let compact = (args.get("compact", 0usize) != 0).then(CompactionPolicy::default);
+    let compact = (args.get("compact", 1usize) != 0).then(CompactionPolicy::default);
     let checkpoint_every = args.get("checkpoint-every", 0u64);
     let wal_opts = DurableOptions {
         checkpoint_every: (checkpoint_every > 0).then_some(checkpoint_every),
@@ -159,7 +160,7 @@ fn main() {
         ],
     );
     let mut query_table = Table::new(
-        "Mixed read/write — served (freeze + FrozenView kernels) vs naive BFS",
+        "Mixed read/write — served (publish + FrozenView kernels) vs naive BFS",
         [
             "workload",
             "backend",

@@ -15,7 +15,7 @@
 //! machine-readable `BENCH_*.json` via [`json`]. The [`queries`] module
 //! adds the read side: mixed read/write workloads
 //! ([`ScenarioRunner::run_mixed`]) serving configurable query streams
-//! through the served path (per-batch freeze plus `FrozenView` kernels)
+//! through the served path (per-batch publish plus `FrozenView` kernels)
 //! and the naive per-query-BFS baseline, each timed separately and
 //! checked against the live query API.
 

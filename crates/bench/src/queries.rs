@@ -391,8 +391,9 @@ pub struct QueryStats {
     /// Answers that disagreed with the live `QueryOps` oracle — **always
     /// zero**; recorded (and gated in CI) rather than assumed.
     pub mismatches: usize,
-    /// Wall-clock seconds freezing the post-batch view, once per write
-    /// batch — the publish cost the server pays, charged to
+    /// Wall-clock seconds publishing the post-batch snapshot, once per
+    /// write batch, by advancing the last one as the server does — the
+    /// publish cost the server pays, charged to
     /// [`QueryStats::served_qps`].
     pub freeze_seconds: f64,
     /// Wall-clock seconds answering from the frozen snapshots.

@@ -555,9 +555,11 @@ impl ScenarioRunner {
     /// after every timed write batch, the proportional share of `wl`'s
     /// queries is answered through two separately timed read paths:
     ///
-    /// * **served** — one [`GraphView::freeze`] of the post-batch view,
-    ///   which is the publish cost the server pays per write batch, then
-    ///   the [`FrozenView`](fg_core::FrozenView) CSR kernels per query;
+    /// * **served** — the post-batch snapshot, advanced from the last
+    ///   batch's by [`FrozenView::advance`](fg_core::FrozenView::advance)
+    ///   exactly as the server publishes it (the first is one
+    ///   [`GraphView::freeze`] before the first batch), then the
+    ///   [`FrozenView`](fg_core::FrozenView) CSR kernels per query;
     /// * **naive** — one fresh full single-source BFS per query (what
     ///   reads cost before the query API existed), on every 8th query
     ///   block only.
@@ -588,6 +590,7 @@ impl ScenarioRunner {
         let mut applied = 0usize;
         let mut issued = 0usize;
         let mut blocks = 0usize;
+        let mut frozen = healer.view().freeze();
 
         for batch in scenario.events.chunks(self.batch_size) {
             let start = Instant::now();
@@ -595,11 +598,11 @@ impl ScenarioRunner {
             tallies.fold(start.elapsed().as_secs_f64(), &report);
 
             // Reads ride between write batches. Like the server, the
-            // served path publishes once per batch, and the freeze is
-            // charged to its throughput.
+            // served path publishes once per batch by advancing the last
+            // snapshot, and that publish is charged to its throughput.
             let view = healer.view();
             let start = Instant::now();
-            let frozen = view.freeze();
+            frozen = frozen.advance(&view);
             stats.freeze_seconds += start.elapsed().as_secs_f64();
             applied += batch.len();
             let due = wl.queries * applied / total_events;

@@ -35,8 +35,8 @@ pub enum PlacementPolicy {
     Adjacent,
 }
 
-/// When to compact the forest arena (opt-in; see
-/// [`ForgivingGraph::set_compaction`]).
+/// When to compact the forest arena (on by default with
+/// [`CompactionPolicy::default`]; see [`ForgivingGraph::set_compaction`]).
 ///
 /// The arena tombstones freed virtual nodes and never reuses their slots,
 /// so under churn the live/ever slot ratio ([`EngineStats::arena_density`])
@@ -149,7 +149,8 @@ pub struct ForgivingGraph {
     pub(crate) image: ImageGraph,
     pub(crate) policy: PlacementPolicy,
     pub(crate) stats: EngineStats,
-    /// Arena-compaction policy; `None` (the default) never compacts.
+    /// Arena-compaction policy (the default policy unless changed);
+    /// `None` never compacts.
     pub(crate) compaction: Option<CompactionPolicy>,
     /// Per-phase wall-time accumulator; `None` (the default) keeps the
     /// hot path free of clock reads.
@@ -187,16 +188,19 @@ impl ForgivingGraph {
             image: ImageGraph::new(),
             policy,
             stats: EngineStats::default(),
-            compaction: None,
+            compaction: Some(CompactionPolicy::default()),
             profile: None,
         }
     }
 
     /// Installs (or removes, with `None`) the arena-compaction policy.
     ///
-    /// Off by default: the seed behaviour is append-only allocation.
-    /// Turning compaction on changes only memory layout, never outcomes —
-    /// repairs, reports and query answers are bit-identical either way.
+    /// Every engine starts with [`CompactionPolicy::default`]: without
+    /// it the arena keeps every tombstoned slot, so a long-running
+    /// engine's memory grows with every event it ever applied. `None`
+    /// restores append-only allocation. Compaction changes only memory
+    /// layout, never outcomes — repairs, reports and query answers are
+    /// bit-identical either way.
     pub fn set_compaction(&mut self, policy: Option<CompactionPolicy>) {
         self.compaction = policy;
     }

@@ -11,12 +11,14 @@
 //!
 //! Virtual nodes live in a flat **arena** (`Vec<Option<VNode>>`): a node is
 //! created by appending a slot and removed by tombstoning it (`None`).
-//! Slots are never reused, and by default never compacted, so a living
-//! node's arena index is stable for its whole lifetime — mirroring the
-//! workspace-wide rule that [`fg_graph::NodeId`]s are never reused. (An
-//! owner may opt into [`Forest::compact`] at quiescent points; arena
-//! indices are a private storage detail, so the remap is observably
-//! invisible — see DESIGN.md §12.) Keys resolve to slots
+//! Slots are never reused, so between compactions a living node's arena
+//! index is stable — mirroring the workspace-wide rule that
+//! [`fg_graph::NodeId`]s are never reused. The owner runs
+//! [`Forest::compact`] at quiescent points to reclaim the tombstones; the
+//! engine does so by default once half the arena is dead (see
+//! [`crate::CompactionPolicy`]). Arena indices are a private storage
+//! detail, so the remap is observably invisible — see DESIGN.md §12.
+//! Keys resolve to slots
 //! through a per-owner sorted index (owners are dense ids), so a lookup is
 //! one `Vec` access plus a binary search over that owner's handful of
 //! virtual nodes, and iterating owners in order and each bucket in
@@ -120,9 +122,9 @@ impl Forest {
     }
 
     /// Current arena extent: slots allocated and not yet reclaimed by a
-    /// [`Forest::compact`], including tombstones. Grows monotonically on
-    /// the default never-compact path; `len() / slots_ever()` is the
-    /// live density the compaction policy watches.
+    /// [`Forest::compact`], including tombstones. Grows monotonically
+    /// between compactions; `len() / slots_ever()` is the live density
+    /// the compaction policy watches.
     pub fn slots_ever(&self) -> usize {
         self.arena.len()
     }

@@ -23,7 +23,7 @@
 //! under [`ForgivingGraph`]'s `PartialEq` (forest equality ignores arena
 //! tombstone history, which is allocation trivia, not logical state).
 
-use crate::engine::{ForgivingGraph, PlacementPolicy};
+use crate::engine::{CompactionPolicy, ForgivingGraph, PlacementPolicy};
 use crate::forest::{Forest, VNode};
 use crate::image::ImageGraph;
 use crate::slot::{Slot, VKey, VKind};
@@ -323,7 +323,7 @@ impl ForgivingGraph {
             image,
             policy,
             stats,
-            compaction: None,
+            compaction: Some(CompactionPolicy::default()),
             profile: None,
         };
         fg.check_invariants()

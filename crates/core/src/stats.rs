@@ -41,13 +41,15 @@ pub struct EngineStats {
     pub btv_rounds: u64,
     /// **Gauge** — virtual nodes currently live in the forest arena.
     pub arena_live: u64,
-    /// **Gauge** — forest arena slots ever allocated (live + tombstones).
-    /// `arena_live / arena_slots` is the live/ever slot ratio the
-    /// compaction policy watches; without compaction it decays toward 0
-    /// under churn because tombstoned slots are never reused.
+    /// **Gauge** — forest arena slots allocated since the last
+    /// compaction (live + tombstones). `arena_live / arena_slots` is the
+    /// live/ever slot ratio the compaction policy watches; without
+    /// compaction it decays toward 0 under churn because tombstoned
+    /// slots are never reused.
     pub arena_slots: u64,
     /// Times the engine compacted its forest arena (see
-    /// [`crate::ForgivingGraph::set_compaction`]). Stays 0 by default.
+    /// [`crate::ForgivingGraph::set_compaction`]). Stays 0 only with
+    /// compaction turned off.
     pub compactions: u64,
 }
 

@@ -25,6 +25,7 @@
 //! [`SelfHealer::view`]: crate::SelfHealer::view
 
 use fg_graph::{FrozenCsr, Graph, NodeId};
+use std::sync::Arc;
 
 /// The structural epoch of an (image, ghost) pair:
 /// `nodes_ever + deletions_ever`.
@@ -72,17 +73,17 @@ pub trait GraphView {
     /// graphs are copied into [`FrozenCsr`] layout (contiguous
     /// offsets+targets over dense live ids) under the same epoch stamp.
     ///
-    /// Freezing costs one `O(live + edges)` pass per side and is meant
-    /// to be amortized over a whole read epoch — publish once per write
-    /// batch, serve every read in between from the frozen arrays (see
-    /// DESIGN.md §12).
+    /// Freezing costs one `O(live + edges)` pass per side. It is the
+    /// first publish of a history; every later one advances the last
+    /// snapshot instead ([`FrozenView::advance`]), paying for what the
+    /// events changed (see DESIGN.md §12).
     fn freeze(&self) -> FrozenView
     where
         Self: Sized,
     {
         FrozenView {
-            image: FrozenCsr::from_graph(self.image()),
-            ghost: FrozenCsr::from_graph(self.ghost()),
+            image: Arc::new(FrozenCsr::from_graph(self.image())),
+            ghost: Arc::new(FrozenCsr::from_graph(self.ghost())),
             epoch: self.epoch(),
         }
     }
@@ -100,6 +101,11 @@ pub trait GraphView {
 /// implement [`GraphView`] — there are no live `Graph`s behind it).
 /// Answers are bit-identical to the live-view path at the same epoch,
 /// shortest paths included node for node.
+///
+/// Both CSRs sit behind [`Arc`]s, so successive epochs share whatever
+/// did not change: [`advance`](FrozenView::advance) reuses the ghost
+/// across a deletion and extends it across an insertion. Cloning a
+/// `FrozenView` costs two reference counts.
 ///
 /// # Examples
 ///
@@ -120,12 +126,45 @@ pub trait GraphView {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenView {
-    image: FrozenCsr,
-    ghost: FrozenCsr,
+    image: Arc<FrozenCsr>,
+    ghost: Arc<FrozenCsr>,
     epoch: u64,
 }
 
 impl FrozenView {
+    /// The snapshot of `view`, built from this one: equal to
+    /// `view.freeze()`, at the cost of what changed in between.
+    ///
+    /// `view` must be a later state of the history this snapshot was
+    /// taken from, reached by events whose insertions only attach the
+    /// new node — every healer in this workspace inserts that way.
+    ///
+    /// * **Ghost.** `G′` gains a node and that node's edges per
+    ///   insertion and never changes otherwise, so `G′` at this epoch is
+    ///   exactly the id prefix of `G′` at any later one. An unchanged
+    ///   `nodes_ever` (every deletion) shares this snapshot's ghost;
+    ///   otherwise [`FrozenCsr::extend`] appends the new nodes.
+    /// * **Image.** A repair rewires the image around the deleted node,
+    ///   while an insertion only attaches the new one. With no death
+    ///   since this epoch the image is extended the same way; after a
+    ///   death it is frozen from scratch.
+    ///
+    /// Anything [`FrozenCsr::extend`] can tell is not an extension
+    /// (fewer ids, a death, an edge count that does not add up) is
+    /// frozen from scratch too.
+    pub fn advance(&self, view: &impl GraphView) -> FrozenView {
+        let ghost = if view.ghost().nodes_ever() == self.ghost.nodes_ever() {
+            Arc::clone(&self.ghost)
+        } else {
+            extend_or_freeze(&self.ghost, view.ghost())
+        };
+        FrozenView {
+            image: extend_or_freeze(&self.image, view.image()),
+            ghost,
+            epoch: view.epoch(),
+        }
+    }
+
     /// The epoch the snapshot was published at.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -185,6 +224,12 @@ impl FrozenView {
         let image = self.image.bidirectional_distance(u, v);
         crate::query::stretch_ratio(ghost, image)
     }
+}
+
+/// `g` frozen by extending `csr` when `g` only gained nodes since, else
+/// from scratch.
+fn extend_or_freeze(csr: &FrozenCsr, g: &Graph) -> Arc<FrozenCsr> {
+    Arc::new(csr.extend(g).unwrap_or_else(|| FrozenCsr::from_graph(g)))
 }
 
 /// The concrete view every [`SelfHealer`](crate::SelfHealer) hands out:

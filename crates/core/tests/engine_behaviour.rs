@@ -386,6 +386,7 @@ fn compaction_changes_layout_but_never_behaviour() {
 
     let g = generators::barabasi_albert(256, 2, 11);
     let mut plain = ForgivingGraph::from_graph(&g).unwrap();
+    plain.set_compaction(None);
     let mut compacted = ForgivingGraph::from_graph(&g).unwrap();
     compacted.set_compaction(Some(CompactionPolicy::default()));
 

@@ -9,7 +9,10 @@
 //! cache-contiguous arrays sized by the *live* population instead of
 //! tombstone-diluted `nodes_ever`-sized structures — after heavy churn
 //! the live set is a small fraction of the ids ever issued, so the
-//! working set shrinks by the same factor.
+//! working set shrinks by the same factor. A graph that only gained
+//! nodes since an earlier snapshot is frozen by extending that snapshot
+//! instead ([`FrozenCsr::extend`]): untouched rows are copied as whole
+//! runs, and only the new nodes' rows are read from the graph.
 //!
 //! The traversal kernel here is a dense mirror of [`crate::traversal`]'s
 //! bidirectional meet-in-the-middle search. Because the dense remap is
@@ -20,6 +23,7 @@
 //! **identical** concrete paths. The differential suites lean on that.
 
 use crate::{Graph, NodeId};
+use std::ops::Range;
 
 /// Dense-index sentinel: "this id is not live in the snapshot".
 const DEAD: u32 = u32::MAX;
@@ -27,8 +31,9 @@ const DEAD: u32 = u32::MAX;
 /// An immutable compressed-sparse-row snapshot of a graph's live
 /// structure, with dense-id remapping and a bidirectional BFS kernel.
 ///
-/// Built via [`FrozenCsr::from_graph`]; see the [module docs](self) for
-/// the layout and the bit-identity argument.
+/// Built via [`FrozenCsr::from_graph`], or from an earlier snapshot by
+/// [`FrozenCsr::extend`]; see the [module docs](self) for the layout and
+/// the bit-identity argument.
 ///
 /// # Examples
 ///
@@ -71,12 +76,14 @@ impl FrozenCsr {
             node_of.push(v);
         }
         let mut offsets = Vec::with_capacity(node_of.len() + 1);
-        let mut targets = Vec::new();
+        let mut targets = Vec::with_capacity(2 * g.edge_count());
         offsets.push(0);
         for &v in &node_of {
             // `Graph::neighbors` yields live neighbors ascending, and the
             // remap is monotone, so each row lands ascending in dense ids.
-            targets.extend(g.neighbors(v).map(|w| dense_of[w.index()]));
+            for w in g.neighbors(v) {
+                targets.push(dense_of[w.index()]);
+            }
             offsets.push(targets.len() as u32);
         }
         FrozenCsr {
@@ -85,6 +92,119 @@ impl FrozenCsr {
             dense_of,
             node_of,
         }
+    }
+
+    /// Freezes `g` by extending this snapshot, for a `g` that is the
+    /// graph this snapshot froze plus appended nodes: every id from
+    /// [`nodes_ever`](FrozenCsr::nodes_ever) up is new and live, and
+    /// nothing else changed — no node died, and no edge between older
+    /// nodes came or went. The result equals
+    /// [`FrozenCsr::from_graph`]`(g)`.
+    ///
+    /// Appended ids are the largest ever issued, so they take the dense
+    /// ids after every older one: the remap stays monotone, an older row
+    /// only gains entries at its end, and every row stays ascending. One
+    /// pass copies each run of untouched rows whole and appends every new
+    /// id to its older neighbours' rows; only the appended nodes' rows
+    /// are read from `g`.
+    ///
+    /// Returns `None` when `g` cannot be such an extension: it has fewer
+    /// ids, a node died, or its edge count is not this snapshot's plus
+    /// the appended nodes' edges. The checks are cheap, so they cannot
+    /// see an edge rewired between older nodes; the caller vouches that
+    /// only appends happened.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fg_graph::{generators, FrozenCsr, NodeId};
+    ///
+    /// let mut g = generators::path(4);
+    /// let csr = FrozenCsr::from_graph(&g);
+    /// let v = g.add_node();
+    /// g.add_edge(v, NodeId::new(0)).unwrap();
+    /// g.add_edge(v, NodeId::new(3)).unwrap();
+    /// assert_eq!(csr.extend(&g), Some(FrozenCsr::from_graph(&g)));
+    /// g.remove_node(NodeId::new(1)).unwrap();
+    /// assert_eq!(csr.extend(&g), None);
+    /// ```
+    pub fn extend(&self, g: &Graph) -> Option<FrozenCsr> {
+        let (old_ever, ever) = (self.nodes_ever(), g.nodes_ever());
+        let old_live = self.live_count();
+        if ever < old_ever || g.node_count() != old_live + (ever - old_ever) {
+            return None;
+        }
+        let appended = || (old_ever..ever).map(|i| NodeId::new(i as u32));
+        // Each edge at an appended node is counted once, at its larger
+        // endpoint.
+        let mut edges = self.edge_count();
+        for a in appended() {
+            if !g.contains(a) {
+                return None;
+            }
+            edges += g.neighbors(a).take_while(|&w| w < a).count();
+        }
+        if edges != g.edge_count() {
+            return None;
+        }
+
+        let mut dense_of = Vec::with_capacity(ever);
+        dense_of.extend_from_slice(&self.dense_of);
+        let mut node_of = Vec::with_capacity(g.node_count());
+        node_of.extend_from_slice(&self.node_of);
+        for a in appended() {
+            dense_of.push(node_of.len() as u32);
+            node_of.push(a);
+        }
+        // `(older row, appended dense id)` for every edge from an appended
+        // node down to an older one, in row order.
+        let mut grafts = Vec::new();
+        for a in appended() {
+            let da = dense_of[a.index()];
+            let older = g.neighbors(a).take_while(|w| w.index() < old_ever);
+            grafts.extend(older.map(|w| (dense_of[w.index()], da)));
+        }
+        grafts.sort_unstable();
+
+        let mut offsets = Vec::with_capacity(node_of.len() + 1);
+        let mut targets = Vec::with_capacity(2 * g.edge_count());
+        offsets.push(0);
+        let mut next = 0;
+        for run in grafts.chunk_by(|x, y| x.0 == y.0) {
+            let row = run[0].0 as usize;
+            self.copy_rows(next..row + 1, &mut offsets, &mut targets);
+            targets.extend(run.iter().map(|&(_, da)| da));
+            *offsets.last_mut().expect("offsets opens with 0") = targets.len() as u32;
+            next = row + 1;
+        }
+        self.copy_rows(next..old_live, &mut offsets, &mut targets);
+        for a in appended() {
+            for w in g.neighbors(a) {
+                targets.push(dense_of[w.index()]);
+            }
+            offsets.push(targets.len() as u32);
+        }
+        debug_assert_eq!(targets.len(), 2 * g.edge_count());
+        Some(FrozenCsr {
+            offsets,
+            targets,
+            dense_of,
+            node_of,
+        })
+    }
+
+    /// Appends this snapshot's rows `rows` unchanged: their targets in
+    /// one copy, their row ends shifted by everything appended before
+    /// them.
+    fn copy_rows(&self, rows: Range<usize>, offsets: &mut Vec<u32>, targets: &mut Vec<u32>) {
+        let (lo, hi) = (self.offsets[rows.start], self.offsets[rows.end]);
+        let shift = targets.len() as u32 - lo;
+        targets.extend_from_slice(&self.targets[lo as usize..hi as usize]);
+        offsets.extend(
+            self.offsets[rows.start + 1..=rows.end]
+                .iter()
+                .map(|&o| o + shift),
+        );
     }
 
     /// Number of live nodes in the snapshot.

@@ -44,6 +44,19 @@ fn churned_graph(base: usize, ops: &[u8]) -> Graph {
     g
 }
 
+/// Appends one node per byte pair of `tape`, each joined to up to three
+/// distinct live nodes — all of them older, as in an adversarial insert.
+fn append_nodes(g: &mut Graph, tape: &[u8]) {
+    for chunk in tape.chunks_exact(2) {
+        let live: Vec<NodeId> = g.iter().collect();
+        let v = g.add_node();
+        for k in 0..usize::from(chunk[0] % 4).min(live.len()) {
+            let w = live[(usize::from(chunk[1]) + 7 * k) % live.len()];
+            let _ = g.ensure_edge(v, w);
+        }
+    }
+}
+
 proptest! {
     /// Freezing loses nothing and invents nothing: counts, membership,
     /// degrees and full adjacency rows (order included) match the live
@@ -122,6 +135,33 @@ proptest! {
                 traversal::shortest_path(&g, u, v),
                 "path ({}, {})", u, v
             );
+        }
+    }
+
+    /// Extending a snapshot across appended nodes, once or twice in a
+    /// row, equals freezing from scratch; once any node dies, `extend`
+    /// declines.
+    #[test]
+    fn extend_across_appended_nodes_equals_a_fresh_freeze(
+        base in 3usize..60,
+        ops in prop::collection::vec(any::<u8>(), 0..150),
+        first in prop::collection::vec(any::<u8>(), 0..30),
+        second in prop::collection::vec(any::<u8>(), 0..30),
+        victim in any::<u8>(),
+    ) {
+        let mut g = churned_graph(base, &ops);
+        let csr = FrozenCsr::from_graph(&g);
+        append_nodes(&mut g, &first);
+        let once = csr.extend(&g);
+        prop_assert_eq!(&once, &Some(FrozenCsr::from_graph(&g)));
+        append_nodes(&mut g, &second);
+        let twice = once.and_then(|c| c.extend(&g));
+        prop_assert_eq!(&twice, &Some(FrozenCsr::from_graph(&g)));
+        let live: Vec<NodeId> = g.iter().collect();
+        if !live.is_empty() {
+            g.remove_node(live[usize::from(victim) % live.len()]).expect("live node");
+            prop_assert_eq!(csr.extend(&g), None);
+            prop_assert_eq!(twice.and_then(|c| c.extend(&g)), None);
         }
     }
 }

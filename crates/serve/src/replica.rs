@@ -12,8 +12,8 @@
 //! Write ops sent to a replica-backed server come back as typed
 //! [`NotMaster`](crate::ErrorCode::NotMaster) frames.
 
-use crate::snapshot::{ServeSnapshot, SnapshotHub};
-use fg_core::{GraphView, SelfHealer};
+use crate::snapshot::{Publication, SnapshotHub};
+use fg_core::SelfHealer;
 use fg_store::{DurableOptions, Persistable, RecoveryReport, ReplError, ReplProgress, Replica};
 use std::net::ToSocketAddrs;
 use std::path::Path;
@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// [`Server::bind`](crate::Server::bind).
 pub struct ReplicaNode<H: Persistable> {
     replica: Replica<H>,
-    hub: Arc<SnapshotHub>,
+    publication: Publication,
 }
 
 impl<H: Persistable> ReplicaNode<H> {
@@ -43,13 +43,17 @@ impl<H: Persistable> ReplicaNode<H> {
         opts: DurableOptions,
     ) -> Result<(ReplicaNode<H>, RecoveryReport), ReplError> {
         let (replica, report) = Replica::bootstrap(master, dir, opts)?;
-        let hub = Arc::new(SnapshotHub::new(snapshot_of(&replica)));
-        Ok((ReplicaNode { replica, hub }, report))
+        let publication = Publication::start(&replica.healer().view(), replica.chain_digest());
+        let node = ReplicaNode {
+            replica,
+            publication,
+        };
+        Ok((node, report))
     }
 
     /// The hub a read-only server should serve from.
     pub fn hub(&self) -> Arc<SnapshotHub> {
-        Arc::clone(&self.hub)
+        self.publication.hub()
     }
 
     /// The replica's current epoch.
@@ -79,7 +83,7 @@ impl<H: Persistable> ReplicaNode<H> {
     pub fn sync_once(&mut self) -> Result<ReplProgress, ReplError> {
         let progress = self.replica.sync_once()?;
         if progress.applied > 0 {
-            self.hub.publish(snapshot_of(&self.replica));
+            self.publish();
         }
         Ok(progress)
     }
@@ -93,9 +97,17 @@ impl<H: Persistable> ReplicaNode<H> {
     pub fn sync_to_caught_up(&mut self) -> Result<usize, ReplError> {
         let applied = self.replica.sync_to_caught_up()?;
         if applied > 0 {
-            self.hub.publish(snapshot_of(&self.replica));
+            self.publish();
         }
         Ok(applied)
+    }
+
+    /// Publishes the replica's current state, stamped with its
+    /// store-certified `(epoch, chain)` certificate.
+    fn publish(&mut self) {
+        let digest = self.replica.chain_digest();
+        self.publication
+            .publish(&self.replica.healer().view(), digest);
     }
 
     /// Re-dials the master after it restarted; the store and published
@@ -112,17 +124,5 @@ impl<H: Persistable> ReplicaNode<H> {
     /// published snapshot).
     pub fn into_replica(self) -> Replica<H> {
         self.replica
-    }
-}
-
-/// A snapshot of the replica's current state stamped with its
-/// store-certified `(epoch, chain)` certificate.
-fn snapshot_of<H: Persistable>(replica: &Replica<H>) -> ServeSnapshot {
-    let digest = replica.chain_digest();
-    let view = replica.healer().view();
-    ServeSnapshot {
-        epoch: view.epoch(),
-        digest,
-        view: view.freeze(),
     }
 }

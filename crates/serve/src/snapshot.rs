@@ -7,12 +7,14 @@
 //! This is the decoupling the in-process query API cannot provide:
 //! [`fg_core::View`] *borrows* the healer, so no write can run while a
 //! read is alive. Here the writer owns the healer exclusively and the
-//! readers own [`FrozenView`] copies — stage-then-commit: the writer
-//! stages a full CSR snapshot off to the side, then commits it with one
-//! pointer swap. A reader can never observe a torn snapshot because the
-//! swap is the *only* shared mutation and it installs a fully built,
-//! never-again-mutated value (see DESIGN.md §13 for the consistency
-//! argument).
+//! readers pin immutable [`FrozenView`]s — stage-then-commit: the writer
+//! stages the next snapshot off to the side by advancing the last one
+//! it published ([`FrozenView::advance`] shares or extends the CSRs the
+//! events left in place), then commits it with one pointer swap. A
+//! reader can never observe a torn snapshot because the swap is the
+//! *only* shared mutation and it installs a fully built,
+//! never-again-mutated value; a CSR two epochs share is never mutated
+//! either (see DESIGN.md §13 for the consistency argument).
 //!
 //! Every snapshot carries its **certificate**: the `(epoch, digest)`
 //! pair, where the digest chains every applied outcome's
@@ -173,6 +175,54 @@ impl SnapshotHub {
     }
 }
 
+/// A hub plus the snapshot its owner last published into it, which the
+/// next publish advances — the publish step of the master and of every
+/// replica. The hub's current snapshot cannot stand in for `last`:
+/// [`SnapshotHub::publish`] is public, so the hub may hold a snapshot of
+/// another history.
+pub(crate) struct Publication {
+    hub: Arc<SnapshotHub>,
+    last: FrozenView,
+}
+
+impl Publication {
+    /// A fresh hub whose first snapshot is `view`, frozen from scratch
+    /// and stamped with `digest`.
+    pub(crate) fn start(view: &impl GraphView, digest: u64) -> Publication {
+        let last = view.freeze();
+        let hub = Arc::new(SnapshotHub::new(ServeSnapshot {
+            epoch: last.epoch(),
+            digest,
+            view: last.clone(),
+        }));
+        Publication { hub, last }
+    }
+
+    pub(crate) fn hub(&self) -> Arc<SnapshotHub> {
+        Arc::clone(&self.hub)
+    }
+
+    /// Publishes `view` stamped with `digest`, advancing the last
+    /// snapshot to it. Debug builds check the result against a fresh
+    /// freeze, so every test that publishes cross-checks
+    /// [`FrozenView::advance`].
+    pub(crate) fn publish(&mut self, view: &impl GraphView, digest: u64) {
+        let next = self.last.advance(view);
+        debug_assert!(
+            next == view.freeze(),
+            "advancing the epoch-{} snapshot to epoch {} diverged from a fresh freeze",
+            self.last.epoch(),
+            view.epoch()
+        );
+        self.last = next.clone();
+        self.hub.publish(ServeSnapshot {
+            epoch: view.epoch(),
+            digest,
+            view: next,
+        });
+    }
+}
+
 /// The writer half: owns a healer exclusively, applies event batches,
 /// chains the outcome digests, and publishes one snapshot per batch to
 /// a shared [`SnapshotHub`].
@@ -183,7 +233,7 @@ impl SnapshotHub {
 /// over publish points.
 pub struct Publisher<H> {
     healer: H,
-    hub: Arc<SnapshotHub>,
+    publication: Publication,
     digest: u64,
 }
 
@@ -191,17 +241,23 @@ impl<H: SelfHealer> Publisher<H> {
     /// Wraps `healer`, creating a hub that starts at its current state
     /// with a fresh digest chain.
     pub fn new(healer: H) -> Publisher<H> {
-        let hub = Arc::new(SnapshotHub::from_healer(&healer));
+        Publisher::resume(healer, BASE_DIGEST)
+    }
+
+    /// Wraps `healer` with its history's chain at `digest`, publishing
+    /// its current state into a fresh hub.
+    fn resume(healer: H, digest: u64) -> Publisher<H> {
+        let publication = Publication::start(&healer.view(), digest);
         Publisher {
             healer,
-            hub,
-            digest: BASE_DIGEST,
+            publication,
+            digest,
         }
     }
 
     /// The hub readers should pin from.
     pub fn hub(&self) -> Arc<SnapshotHub> {
-        Arc::clone(&self.hub)
+        self.publication.hub()
     }
 
     /// The chained digest of everything applied so far.
@@ -249,12 +305,7 @@ impl<H: SelfHealer> Publisher<H> {
     /// calls this; it is public for writers that reach a publish point
     /// some other way.
     pub fn publish(&mut self) {
-        let view = self.healer.view();
-        self.hub.publish(ServeSnapshot {
-            epoch: view.epoch(),
-            digest: self.digest,
-            view: view.freeze(),
-        });
+        self.publication.publish(&self.healer.view(), self.digest);
     }
 
     /// Consumes the publisher, returning the healer.
@@ -272,20 +323,7 @@ impl<H: Persistable> Publisher<DurableHealer<H>> {
     /// where its pre-crash acknowledged history left off.
     pub fn from_durable(durable: DurableHealer<H>) -> Publisher<DurableHealer<H>> {
         let digest = durable.chain_digest();
-        let snapshot = {
-            let view = durable.view();
-            ServeSnapshot {
-                epoch: view.epoch(),
-                digest,
-                view: view.freeze(),
-            }
-        };
-        let hub = Arc::new(SnapshotHub::new(snapshot));
-        Publisher {
-            healer: durable,
-            hub,
-            digest,
-        }
+        Publisher::resume(durable, digest)
     }
 
     /// The master's write path: apply → log → fsync (all inside the
@@ -364,6 +402,42 @@ mod tests {
         assert_eq!(first.epoch, 8);
         assert!(first.view.alive(NodeId::new(3)));
         assert!(!second.view.alive(NodeId::new(3)));
+    }
+
+    #[test]
+    fn superseded_pins_keep_their_own_ghost_and_deletes_share_it() {
+        // A path 0–…–9 with 5 deleted: the healed image is shorter than
+        // G′ between the ends, so the stretch is not 1.
+        let fg = ForgivingGraph::from_graph(&generators::path(10)).unwrap();
+        let mut publisher = Publisher::new(fg);
+        let hub = publisher.hub();
+        let (u, v) = (NodeId::new(0), NodeId::new(9));
+        let _ = publisher
+            .apply_and_publish(&[NetworkEvent::delete(NodeId::new(5))])
+            .unwrap();
+        let before = hub.pin();
+        assert_eq!(before.view.ghost().bidirectional_distance(u, v), Some(9));
+        assert_eq!(before.view.stretch(u, v), Some(8.0 / 9.0));
+
+        // A new node bridges the two ends: the new pin's ghost distance
+        // shrinks, the old pin keeps its own.
+        let _ = publisher
+            .apply_and_publish(&[NetworkEvent::insert([u, v])])
+            .unwrap();
+        let bridged = hub.pin();
+        assert_eq!(bridged.view.ghost().bidirectional_distance(u, v), Some(2));
+        assert_eq!(bridged.view.stretch(u, v), Some(1.0));
+        assert_eq!(before.view.ghost().bidirectional_distance(u, v), Some(9));
+        assert_eq!(before.view.stretch(u, v), Some(8.0 / 9.0));
+
+        // A delete leaves G′ alone, so its snapshot shares the ghost.
+        let _ = publisher
+            .apply_and_publish(&[NetworkEvent::delete(NodeId::new(2))])
+            .unwrap();
+        let after = hub.pin();
+        assert!(std::ptr::eq(bridged.view.ghost(), after.view.ghost()));
+        assert!(!std::ptr::eq(before.view.ghost(), bridged.view.ghost()));
+        assert_eq!(after.view, publisher.healer().view().freeze());
     }
 
     #[test]

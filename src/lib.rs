@@ -34,8 +34,9 @@ pub use fg_store as store;
 /// operation/outcome API — write side *and* read side: every healer
 /// hands out epoch-stamped snapshot views (`view()`) answering
 /// [`QueryOps`](fg_core::QueryOps) reads, and `view().freeze()`
-/// publishes the [`FrozenView`](fg_core::FrozenView) the server answers
-/// from.
+/// builds the [`FrozenView`](fg_core::FrozenView) the server answers
+/// from (each later publish advances it with
+/// [`FrozenView::advance`](fg_core::FrozenView::advance)).
 ///
 /// ```
 /// use forgiving_graph::prelude::*;

@@ -15,13 +15,24 @@
 //!   and both backends publish the same epoch;
 //! * both backends' served scalar answers agree with each other.
 //!
+//! The wire answers are checked against the published snapshot itself,
+//! so the publish step is checked on its own: after every publish the
+//! pinned snapshot, advanced from the previous one, must equal a fresh
+//! freeze of the live healer. The first [`PER_EVENT`] events publish
+//! one at a time, covering a shared ghost (delete), extended CSRs
+//! (insert) and a refrozen image (delete); the rest publish in 64-event
+//! chunks, whose inserts can attach to each other.
+//!
 //! [`FrozenView`]: forgiving_graph::core::FrozenView
 
 use forgiving_graph::bench::scenario;
-use forgiving_graph::core::{ForgivingGraph, PlacementPolicy, SelfHealer};
+use forgiving_graph::core::{ForgivingGraph, GraphView, PlacementPolicy, SelfHealer};
 use forgiving_graph::dist::DistHealer;
 use forgiving_graph::graph::NodeId;
 use forgiving_graph::serve::{Client, Publisher, Request, ResponseBody, Server, ServerConfig};
+
+/// Events published one at a time before the rest go in 64-event chunks.
+const PER_EVENT: usize = 2_000;
 
 /// Seeded SplitMix64 pair sampler over the ghost node universe (live
 /// and dead ids both — dead endpoints must serve `None`, not errors).
@@ -45,10 +56,11 @@ fn probe_pairs(nodes_ever: usize, salt: u64, count: usize) -> Vec<(NodeId, NodeI
         .collect()
 }
 
-/// Replays the churn trace through a publisher, serves the final
-/// snapshot over loopback, and checks every wire op against the frozen
-/// snapshot for every probe pair. Returns `(epoch, digest, answers)`
-/// for the cross-backend comparison.
+/// Replays the churn trace through a publisher, checking every
+/// published snapshot against a fresh freeze, serves the final snapshot
+/// over loopback, and checks every wire op against the frozen snapshot
+/// for every probe pair. Returns `(epoch, digest, answers)` for the
+/// cross-backend comparison.
 fn serve_and_probe<H: SelfHealer>(
     label: &str,
     healer: H,
@@ -56,10 +68,16 @@ fn serve_and_probe<H: SelfHealer>(
     pairs: &[(NodeId, NodeId)],
 ) -> (u64, u64, Vec<ResponseBody>) {
     let mut publisher = Publisher::new(healer);
-    for chunk in events.chunks(64) {
-        let _ = publisher.apply_and_publish(chunk).expect("legal trace");
-    }
     let hub = publisher.hub();
+    let (singles, rest) = events.split_at(PER_EVENT.min(events.len()));
+    for batch in singles.chunks(1).chain(rest.chunks(64)) {
+        let _ = publisher.apply_and_publish(batch).expect("legal trace");
+        assert!(
+            hub.pin().view == publisher.healer().view().freeze(),
+            "{label}: the snapshot published at epoch {} differs from a fresh freeze",
+            hub.epoch()
+        );
+    }
     let epoch = hub.epoch();
     let digest = publisher.digest();
     let snapshot = hub.pin();
@@ -127,8 +145,8 @@ fn serve_and_probe<H: SelfHealer>(
 
 #[test]
 fn served_answers_are_bit_identical_on_both_backends() {
-    for seed in [3u64, 11, 29] {
-        let sc = scenario("churn", 48, 300, seed);
+    for (seed, events) in [(3u64, 300), (11, 300), (29, 300), (41, PER_EVENT + 600)] {
+        let sc = scenario("churn", 48, events, seed);
         let pairs = probe_pairs(sc.initial.nodes_ever() + sc.events.len(), seed ^ 0xfeed, 24);
 
         let engine = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
