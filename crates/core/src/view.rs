@@ -75,8 +75,8 @@ pub trait GraphView {
     ///
     /// Freezing costs one `O(live + edges)` pass per side. It is the
     /// first publish of a history; every later one advances the last
-    /// snapshot instead ([`FrozenView::advance`]), paying for what the
-    /// events changed (see DESIGN.md §12).
+    /// snapshot instead ([`FrozenView::advance`]), re-reading only the
+    /// rows the events changed (see DESIGN.md §12).
     fn freeze(&self) -> FrozenView
     where
         Self: Sized,
@@ -104,8 +104,8 @@ pub trait GraphView {
 ///
 /// Both CSRs sit behind [`Arc`]s, so successive epochs share whatever
 /// did not change: [`advance`](FrozenView::advance) reuses the ghost
-/// across a deletion and extends it across an insertion. Cloning a
-/// `FrozenView` costs two reference counts.
+/// across a deletion, and either CSR when its graph did not change.
+/// Cloning a `FrozenView` costs two reference counts.
 ///
 /// # Examples
 ///
@@ -135,32 +135,17 @@ impl FrozenView {
     /// The snapshot of `view`, built from this one: equal to
     /// `view.freeze()`, at the cost of what changed in between.
     ///
-    /// `view` must be a later state of the history this snapshot was
-    /// taken from, reached by events whose insertions only attach the
-    /// new node — every healer in this workspace inserts that way.
-    ///
-    /// * **Ghost.** `G′` gains a node and that node's edges per
-    ///   insertion and never changes otherwise, so `G′` at this epoch is
-    ///   exactly the id prefix of `G′` at any later one. An unchanged
-    ///   `nodes_ever` (every deletion) shares this snapshot's ghost;
-    ///   otherwise [`FrozenCsr::extend`] appends the new nodes.
-    /// * **Image.** A repair rewires the image around the deleted node,
-    ///   while an insertion only attaches the new one. With no death
-    ///   since this epoch the image is extended the same way; after a
-    ///   death it is frozen from scratch.
-    ///
-    /// Anything [`FrozenCsr::extend`] can tell is not an extension
-    /// (fewer ids, a death, an edge count that does not add up) is
-    /// frozen from scratch too.
+    /// Each side is brought up to date on its own. A CSR taken from that
+    /// graph at its current [`version`](Graph::version) is shared through
+    /// its `Arc`: every deletion leaves `G′` untouched, and a publish with
+    /// nothing applied leaves both graphs untouched. Any other CSR is
+    /// advanced by [`FrozenCsr::advance`], which re-reads only the rows the
+    /// graph stamped as changed, and freezes from scratch a graph of
+    /// another history.
     pub fn advance(&self, view: &impl GraphView) -> FrozenView {
-        let ghost = if view.ghost().nodes_ever() == self.ghost.nodes_ever() {
-            Arc::clone(&self.ghost)
-        } else {
-            extend_or_freeze(&self.ghost, view.ghost())
-        };
         FrozenView {
-            image: extend_or_freeze(&self.image, view.image()),
-            ghost,
+            image: advance_csr(&self.image, view.image()),
+            ghost: advance_csr(&self.ghost, view.ghost()),
             epoch: view.epoch(),
         }
     }
@@ -226,10 +211,14 @@ impl FrozenView {
     }
 }
 
-/// `g` frozen by extending `csr` when `g` only gained nodes since, else
-/// from scratch.
-fn extend_or_freeze(csr: &FrozenCsr, g: &Graph) -> Arc<FrozenCsr> {
-    Arc::new(csr.extend(g).unwrap_or_else(|| FrozenCsr::from_graph(g)))
+/// `g` frozen from `csr`: shared when `csr` reflects `g` as it is,
+/// advanced otherwise.
+fn advance_csr(csr: &Arc<FrozenCsr>, g: &Graph) -> Arc<FrozenCsr> {
+    if csr.reflects(g) {
+        Arc::clone(csr)
+    } else {
+        Arc::new(csr.advance(g))
+    }
 }
 
 /// The concrete view every [`SelfHealer`](crate::SelfHealer) hands out:

@@ -9,10 +9,11 @@
 //! cache-contiguous arrays sized by the *live* population instead of
 //! tombstone-diluted `nodes_ever`-sized structures — after heavy churn
 //! the live set is a small fraction of the ids ever issued, so the
-//! working set shrinks by the same factor. A graph that only gained
-//! nodes since an earlier snapshot is frozen by extending that snapshot
-//! instead ([`FrozenCsr::extend`]): untouched rows are copied as whole
-//! runs, and only the new nodes' rows are read from the graph.
+//! working set shrinks by the same factor. A graph that changed since an
+//! earlier snapshot of it is frozen by advancing that snapshot instead
+//! ([`FrozenCsr::advance`]): the graph's change stamps say which rows
+//! changed, runs of the others are copied whole, and only the changed
+//! and appended rows are read from the graph.
 //!
 //! The traversal kernel here is a dense mirror of [`crate::traversal`]'s
 //! bidirectional meet-in-the-middle search. Because the dense remap is
@@ -32,7 +33,7 @@ const DEAD: u32 = u32::MAX;
 /// structure, with dense-id remapping and a bidirectional BFS kernel.
 ///
 /// Built via [`FrozenCsr::from_graph`], or from an earlier snapshot by
-/// [`FrozenCsr::extend`]; see the [module docs](self) for the layout and
+/// [`FrozenCsr::advance`]; see the [module docs](self) for the layout and
 /// the bit-identity argument.
 ///
 /// # Examples
@@ -48,7 +49,7 @@ const DEAD: u32 = u32::MAX;
 /// // The cycle is cut open at 3: going the long way round is 6 hops.
 /// assert_eq!(csr.bidirectional_distance(NodeId::new(2), NodeId::new(4)), Some(6));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct FrozenCsr {
     /// Row boundaries: node `d`'s neighbors are
     /// `targets[offsets[d] as usize..offsets[d + 1] as usize]`.
@@ -60,6 +61,34 @@ pub struct FrozenCsr {
     dense_of: Vec<u32>,
     /// `dense index -> NodeId`, ascending; length `live_count`.
     node_of: Vec<NodeId>,
+    /// [`Graph::lineage`] of the graph this snapshot reflects.
+    lineage: u64,
+    /// [`Graph::version`] of the graph this snapshot reflects.
+    version: u64,
+}
+
+/// Structural equality: the same rows over the same remap. Which graph
+/// state a snapshot was taken from is ignored, so an advanced snapshot
+/// equals a fresh freeze.
+impl PartialEq for FrozenCsr {
+    fn eq(&self, other: &Self) -> bool {
+        self.node_of == other.node_of
+            && self.offsets == other.offsets
+            && self.targets == other.targets
+            && self.dense_of == other.dense_of
+    }
+}
+
+impl Eq for FrozenCsr {}
+
+/// How [`FrozenCsr::advance`] renumbers the targets of rows it copies.
+enum Renumber {
+    /// Nothing died: dense ids are unchanged.
+    Same,
+    /// One row died, at this dense id: later ids move down by one.
+    One(u32),
+    /// Several rows died: each old dense id's new one.
+    Table(Vec<u32>),
 }
 
 impl FrozenCsr {
@@ -79,11 +108,9 @@ impl FrozenCsr {
         let mut targets = Vec::with_capacity(2 * g.edge_count());
         offsets.push(0);
         for &v in &node_of {
-            // `Graph::neighbors` yields live neighbors ascending, and the
-            // remap is monotone, so each row lands ascending in dense ids.
-            for w in g.neighbors(v) {
-                targets.push(dense_of[w.index()]);
-            }
+            // A graph row holds live neighbors ascending, and the remap
+            // is monotone, so each row lands ascending in dense ids.
+            targets.extend(g.row(v).iter().map(|w| dense_of[w.index()]));
             offsets.push(targets.len() as u32);
         }
         FrozenCsr {
@@ -91,119 +118,159 @@ impl FrozenCsr {
             targets,
             dense_of,
             node_of,
+            lineage: g.lineage(),
+            version: g.version(),
         }
     }
 
-    /// Freezes `g` by extending this snapshot, for a `g` that is the
-    /// graph this snapshot froze plus appended nodes: every id from
-    /// [`nodes_ever`](FrozenCsr::nodes_ever) up is new and live, and
-    /// nothing else changed — no node died, and no edge between older
-    /// nodes came or went. The result equals
-    /// [`FrozenCsr::from_graph`]`(g)`.
+    /// Whether this snapshot reflects `g` as it is now: taken from `g`'s
+    /// lineage at `g`'s current version.
+    pub fn reflects(&self, g: &Graph) -> bool {
+        self.lineage == g.lineage() && self.version == g.version()
+    }
+
+    /// Freezes `g` by bringing this snapshot up to date, re-reading only
+    /// the rows `g` changed since; equal to
+    /// [`FrozenCsr::from_graph`]`(g)` for every `g`.
     ///
-    /// Appended ids are the largest ever issued, so they take the dense
-    /// ids after every older one: the remap stays monotone, an older row
-    /// only gains entries at its end, and every row stays ascending. One
-    /// pass copies each run of untouched rows whole and appends every new
-    /// id to its older neighbours' rows; only the appended nodes' rows
-    /// are read from `g`.
+    /// The snapshot remembers the [`lineage`](Graph::lineage) and
+    /// [`version`](Graph::version) of the graph it reflects. A `g` of
+    /// another lineage, or whose version or id count is smaller, is frozen
+    /// from scratch. Otherwise:
     ///
-    /// Returns `None` when `g` cannot be such an extension: it has fewer
-    /// ids, a node died, or its edge count is not this snapshot's plus
-    /// the appended nodes' edges. The checks are cheap, so they cannot
-    /// see an edge rewired between older nodes; the caller vouches that
-    /// only appends happened.
+    /// * **Remap.** The live ids are the old ones minus those that died,
+    ///   then the ids appended since that are still live — exactly
+    ///   ascending order, so the remap stays monotone.
+    /// * **Untouched rows.** A row outside every block
+    ///   [`Graph::changed_since`] reports has exactly its frozen
+    ///   neighbours, all still alive: a neighbour's death, like any edge
+    ///   change, stamps the row. Runs of such rows are copied in one pass,
+    ///   their targets renumbered past the dead (nothing to do when
+    ///   nothing died).
+    /// * **Changed and appended rows** are read from `g`.
     ///
     /// # Examples
     ///
     /// ```
     /// use fg_graph::{generators, FrozenCsr, NodeId};
     ///
-    /// let mut g = generators::path(4);
+    /// let mut g = generators::path(40);
     /// let csr = FrozenCsr::from_graph(&g);
     /// let v = g.add_node();
     /// g.add_edge(v, NodeId::new(0)).unwrap();
-    /// g.add_edge(v, NodeId::new(3)).unwrap();
-    /// assert_eq!(csr.extend(&g), Some(FrozenCsr::from_graph(&g)));
-    /// g.remove_node(NodeId::new(1)).unwrap();
-    /// assert_eq!(csr.extend(&g), None);
+    /// g.remove_node(NodeId::new(20)).unwrap();
+    /// assert_eq!(csr.advance(&g), FrozenCsr::from_graph(&g));
+    /// // A clone's history is its own: it is frozen from scratch.
+    /// let fork = g.clone();
+    /// assert_eq!(csr.advance(&fork), FrozenCsr::from_graph(&fork));
     /// ```
-    pub fn extend(&self, g: &Graph) -> Option<FrozenCsr> {
+    pub fn advance(&self, g: &Graph) -> FrozenCsr {
         let (old_ever, ever) = (self.nodes_ever(), g.nodes_ever());
         let old_live = self.live_count();
-        if ever < old_ever || g.node_count() != old_live + (ever - old_ever) {
-            return None;
+        if g.lineage() != self.lineage || g.version() < self.version || ever < old_ever {
+            return FrozenCsr::from_graph(g);
         }
-        let appended = || (old_ever..ever).map(|i| NodeId::new(i as u32));
-        // Each edge at an appended node is counted once, at its larger
-        // endpoint.
-        let mut edges = self.edge_count();
-        for a in appended() {
-            if !g.contains(a) {
-                return None;
-            }
-            edges += g.neighbors(a).take_while(|&w| w < a).count();
-        }
-        if edges != g.edge_count() {
-            return None;
-        }
+        let blocks: Vec<Range<usize>> = g.changed_blocks(self.version).collect();
+        let old_ids = |ids: &Range<usize>| ids.start..ids.end.min(old_ever);
+        // Dense ids of the rows that died, ascending: a death stamps its
+        // own block.
+        let deaths: Vec<u32> = blocks
+            .iter()
+            .flat_map(old_ids)
+            .map(|i| self.dense_of[i])
+            .filter(|&d| d != DEAD && !g.contains(self.node(d)))
+            .collect();
 
+        let mut node_of = Vec::with_capacity(g.node_count());
+        let mut from = 0;
+        for &d in &deaths {
+            node_of.extend_from_slice(&self.node_of[from..d as usize]);
+            from = d as usize + 1;
+        }
+        node_of.extend_from_slice(&self.node_of[from..]);
+        node_of.extend(
+            (old_ever..ever)
+                .map(|i| NodeId::new(i as u32))
+                .filter(|&a| g.contains(a)),
+        );
+        // Rows before the first death keep their dense ids.
         let mut dense_of = Vec::with_capacity(ever);
         dense_of.extend_from_slice(&self.dense_of);
-        let mut node_of = Vec::with_capacity(g.node_count());
-        node_of.extend_from_slice(&self.node_of);
-        for a in appended() {
-            dense_of.push(node_of.len() as u32);
-            node_of.push(a);
+        dense_of.resize(ever, DEAD);
+        for &d in &deaths {
+            dense_of[self.node(d).index()] = DEAD;
         }
-        // `(older row, appended dense id)` for every edge from an appended
-        // node down to an older one, in row order.
-        let mut grafts = Vec::new();
-        for a in appended() {
-            let da = dense_of[a.index()];
-            let older = g.neighbors(a).take_while(|w| w.index() < old_ever);
-            grafts.extend(older.map(|w| (dense_of[w.index()], da)));
+        let kept = deaths.first().map_or(old_live, |&d| d as usize);
+        for (d, v) in node_of.iter().enumerate().skip(kept) {
+            dense_of[v.index()] = d as u32;
         }
-        grafts.sort_unstable();
+        let renumber = match deaths[..] {
+            [] => Renumber::Same,
+            [d] => Renumber::One(d),
+            _ => Renumber::Table(self.node_of.iter().map(|v| dense_of[v.index()]).collect()),
+        };
 
         let mut offsets = Vec::with_capacity(node_of.len() + 1);
         let mut targets = Vec::with_capacity(2 * g.edge_count());
         offsets.push(0);
-        let mut next = 0;
-        for run in grafts.chunk_by(|x, y| x.0 == y.0) {
-            let row = run[0].0 as usize;
-            self.copy_rows(next..row + 1, &mut offsets, &mut targets);
-            targets.extend(run.iter().map(|&(_, da)| da));
-            *offsets.last_mut().expect("offsets opens with 0") = targets.len() as u32;
-            next = row + 1;
-        }
-        self.copy_rows(next..old_live, &mut offsets, &mut targets);
-        for a in appended() {
-            for w in g.neighbors(a) {
-                targets.push(dense_of[w.index()]);
-            }
+        let read_row = |v: NodeId, offsets: &mut Vec<u32>, targets: &mut Vec<u32>| {
+            targets.extend(g.row(v).iter().map(|w| dense_of[w.index()]));
             offsets.push(targets.len() as u32);
+        };
+        let mut next = 0;
+        for ids in blocks.iter().map(old_ids) {
+            // The block's frozen rows are consecutive dense ids.
+            let Some(first) = ids.clone().map(|i| self.dense_of[i]).find(|&d| d != DEAD) else {
+                continue;
+            };
+            self.copy_rows(next..first as usize, &renumber, &mut offsets, &mut targets);
+            next = first as usize;
+            while next < old_live && self.node_of[next].index() < ids.end {
+                let v = self.node_of[next];
+                if g.contains(v) {
+                    read_row(v, &mut offsets, &mut targets);
+                }
+                next += 1;
+            }
+        }
+        self.copy_rows(next..old_live, &renumber, &mut offsets, &mut targets);
+        for &a in &node_of[old_live - deaths.len()..] {
+            read_row(a, &mut offsets, &mut targets);
         }
         debug_assert_eq!(targets.len(), 2 * g.edge_count());
-        Some(FrozenCsr {
+        FrozenCsr {
             offsets,
             targets,
             dense_of,
             node_of,
-        })
+            lineage: g.lineage(),
+            version: g.version(),
+        }
     }
 
-    /// Appends this snapshot's rows `rows` unchanged: their targets in
-    /// one copy, their row ends shifted by everything appended before
-    /// them.
-    fn copy_rows(&self, rows: Range<usize>, offsets: &mut Vec<u32>, targets: &mut Vec<u32>) {
+    /// Appends this snapshot's rows `rows`, none of which changed: their
+    /// targets renumbered in one pass, their row ends shifted by the
+    /// difference in everything before them.
+    fn copy_rows(
+        &self,
+        rows: Range<usize>,
+        renumber: &Renumber,
+        offsets: &mut Vec<u32>,
+        targets: &mut Vec<u32>,
+    ) {
         let (lo, hi) = (self.offsets[rows.start], self.offsets[rows.end]);
-        let shift = targets.len() as u32 - lo;
-        targets.extend_from_slice(&self.targets[lo as usize..hi as usize]);
+        // Rows before may have shrunk, so the shift may be negative.
+        let shift = (targets.len() as u32).wrapping_sub(lo);
+        let run = &self.targets[lo as usize..hi as usize];
+        match renumber {
+            Renumber::Same => targets.extend_from_slice(run),
+            Renumber::One(d) => targets.extend(run.iter().map(|&t| t - u32::from(t > *d))),
+            Renumber::Table(new) => targets.extend(run.iter().map(|&t| new[t as usize])),
+        }
         offsets.extend(
             self.offsets[rows.start + 1..=rows.end]
                 .iter()
-                .map(|&o| o + shift),
+                .map(|&o| o.wrapping_add(shift)),
         );
     }
 

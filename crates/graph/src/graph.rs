@@ -8,10 +8,38 @@
 //! Nodes are never re-numbered: removing a node leaves a tombstone so that
 //! ids stay valid for the lifetime of the experiment, matching the paper's
 //! model where `n` counts every node ever seen.
+//!
+//! A graph also records *where* it changed, so a frozen snapshot can be
+//! brought up to date by re-reading only those rows
+//! ([`FrozenCsr::advance`](crate::FrozenCsr::advance)). Every successful
+//! mutation bumps a [`version`](Graph::version) counter and stamps the
+//! block of 16 ids holding each row it changed with the new version: both
+//! endpoints of an added or removed edge, a removed node and each of its
+//! former neighbours, a new node.
+//! [`changed_since`](Graph::changed_since) lists the ids of every block
+//! stamped after a given version. A [`lineage`](Graph::lineage), fresh for
+//! every constructed or cloned graph, says which history those versions
+//! count. The tracking is bookkeeping, not structure: equality compares
+//! nodes and edges only.
 
 use crate::sorted::SortedSet;
 use crate::{EdgeKey, GraphError, NodeId};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Ids per change stamp: [`Graph::changed_since`] reports changed rows in
+/// aligned blocks of this many ids.
+const CHANGE_BLOCK: usize = 16;
+
+/// Source of [`Graph::lineage`] ids, unique within the process.
+static LINEAGES: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_lineage() -> u64 {
+    // Relaxed: the counter only hands out distinct ids and publishes no
+    // other data.
+    LINEAGES.fetch_add(1, Ordering::Relaxed)
+}
 
 /// An undirected simple graph over dense [`NodeId`]s with tombstoned removal.
 ///
@@ -38,12 +66,19 @@ use serde::{Deserialize, Serialize};
 /// assert!(!g.has_edge(a, b));
 /// # Ok::<(), fg_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Graph {
     adjacency: Vec<SortedSet<NodeId>>,
     alive: Vec<bool>,
     live_nodes: usize,
     live_edges: usize,
+    /// Successful mutations so far.
+    version: u64,
+    /// Per aligned block of [`CHANGE_BLOCK`] ids, the version that last
+    /// changed a row in it.
+    changed_at: Vec<u64>,
+    /// Which history `version` and `changed_at` count.
+    lineage: u64,
 }
 
 impl Graph {
@@ -59,6 +94,9 @@ impl Graph {
             alive: Vec::with_capacity(n),
             live_nodes: 0,
             live_edges: 0,
+            version: 0,
+            changed_at: Vec::with_capacity(n.div_ceil(CHANGE_BLOCK)),
+            lineage: fresh_lineage(),
         }
     }
 
@@ -69,6 +107,9 @@ impl Graph {
             alive: vec![true; n],
             live_nodes: n,
             live_edges: 0,
+            version: 0,
+            changed_at: vec![0; n.div_ceil(CHANGE_BLOCK)],
+            lineage: fresh_lineage(),
         }
     }
 
@@ -98,7 +139,67 @@ impl Graph {
         self.adjacency.push(SortedSet::new());
         self.alive.push(true);
         self.live_nodes += 1;
+        if id.index().is_multiple_of(CHANGE_BLOCK) {
+            self.changed_at.push(0);
+        }
+        self.version += 1;
+        self.stamp(id);
         id
+    }
+
+    /// Marks `v`'s row as changed by the current version.
+    fn stamp(&mut self, v: NodeId) {
+        self.changed_at[v.index() / CHANGE_BLOCK] = self.version;
+    }
+
+    /// The number of successful mutations since the graph was created:
+    /// every [`add_node`](Graph::add_node), [`add_edge`](Graph::add_edge),
+    /// [`remove_edge`](Graph::remove_edge) and
+    /// [`remove_node`](Graph::remove_node) that changed it adds one.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The history this graph's [`version`](Graph::version) counts: unique
+    /// within the process to each constructed graph and to each clone,
+    /// because a clone's later changes are its own. Two graphs with the
+    /// same lineage and version are in the same state.
+    pub fn lineage(&self) -> u64 {
+        self.lineage
+    }
+
+    /// Every id in an aligned block of 16 ids holding a row changed after
+    /// `version`, ascending. A superset of the rows whose neighbours, or
+    /// whose own liveness, changed since then: ids outside it have exactly
+    /// the rows they had at `version`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fg_graph::{Graph, NodeId};
+    ///
+    /// let mut g = Graph::with_nodes(40);
+    /// let before = g.version();
+    /// g.add_edge(NodeId::new(3), NodeId::new(35))?;
+    /// let changed: Vec<usize> = g.changed_since(before).map(NodeId::index).collect();
+    /// assert_eq!(changed, (0..16).chain(32..40).collect::<Vec<_>>());
+    /// # Ok::<(), fg_graph::GraphError>(())
+    /// ```
+    pub fn changed_since(&self, version: u64) -> impl Iterator<Item = NodeId> + '_ {
+        self.changed_blocks(version)
+            .flatten()
+            .map(|i| NodeId::new(i as u32))
+    }
+
+    /// The id ranges of the blocks [`changed_since`](Graph::changed_since)
+    /// reports, ascending.
+    pub(crate) fn changed_blocks(&self, version: u64) -> impl Iterator<Item = Range<usize>> + '_ {
+        let ever = self.nodes_ever();
+        self.changed_at
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &at)| at > version)
+            .map(move |(b, _)| b * CHANGE_BLOCK..ever.min((b + 1) * CHANGE_BLOCK))
     }
 
     /// Number of live (non-removed) nodes.
@@ -159,6 +260,14 @@ impl Graph {
             .flat_map(|adj| adj.iter().copied())
     }
 
+    /// The neighbours of `v` as one ascending slice (empty for removed or
+    /// unknown nodes).
+    pub(crate) fn row(&self, v: NodeId) -> &[NodeId] {
+        self.adjacency
+            .get(v.index())
+            .map_or(&[], SortedSet::as_slice)
+    }
+
     /// Collects the neighbours of `v` into a vector (increasing id order).
     pub fn neighbor_vec(&self, v: NodeId) -> Vec<NodeId> {
         self.neighbors(v).collect()
@@ -195,6 +304,9 @@ impl Graph {
         }
         self.adjacency[v.index()].insert(u);
         self.live_edges += 1;
+        self.version += 1;
+        self.stamp(u);
+        self.stamp(v);
         Ok(())
     }
 
@@ -223,6 +335,9 @@ impl Graph {
         self.adjacency[u.index()].remove(&v);
         self.adjacency[v.index()].remove(&u);
         self.live_edges -= 1;
+        self.version += 1;
+        self.stamp(u);
+        self.stamp(v);
         Ok(())
     }
 
@@ -239,13 +354,16 @@ impl Graph {
             return Err(GraphError::NodeNotFound(v));
         }
         let neighbours: Vec<NodeId> = self.adjacency[v.index()].iter().copied().collect();
+        self.version += 1;
         for &u in &neighbours {
             self.adjacency[u.index()].remove(&v);
+            self.stamp(u);
         }
         self.live_edges -= neighbours.len();
         self.adjacency[v.index()].clear();
         self.alive[v.index()] = false;
         self.live_nodes -= 1;
+        self.stamp(v);
         Ok(neighbours)
     }
 
@@ -254,6 +372,41 @@ impl Graph {
         self.iter().map(|v| self.degree(v)).sum()
     }
 }
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph::with_capacity(0)
+    }
+}
+
+impl Clone for Graph {
+    /// A copy of the structure and its change stamps under a fresh
+    /// [`lineage`](Graph::lineage): the copy's later changes are its own.
+    fn clone(&self) -> Self {
+        Graph {
+            adjacency: self.adjacency.clone(),
+            alive: self.alive.clone(),
+            live_nodes: self.live_nodes,
+            live_edges: self.live_edges,
+            version: self.version,
+            changed_at: self.changed_at.clone(),
+            lineage: fresh_lineage(),
+        }
+    }
+}
+
+/// Structural equality: the same live nodes and edges over the same ids.
+/// The change tracking (version, stamps, lineage) is ignored.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.live_nodes == other.live_nodes
+            && self.live_edges == other.live_edges
+            && self.alive == other.alive
+            && self.adjacency == other.adjacency
+    }
+}
+
+impl Eq for Graph {}
 
 impl Extend<(NodeId, NodeId)> for Graph {
     /// Extends the graph with edges, growing the node set as needed and
@@ -382,5 +535,71 @@ mod tests {
         assert_eq!(g.degree(n(1)), 0);
         assert_eq!(g.neighbors(n(1)).count(), 0);
         assert_eq!(g.neighbor_vec(n(0)), Vec::<NodeId>::new());
+    }
+
+    #[test]
+    fn equal_structure_compares_equal_whatever_the_history() {
+        let mut a = Graph::with_nodes(3);
+        a.add_edge(n(0), n(1)).unwrap();
+        a.add_edge(n(1), n(2)).unwrap();
+        let mut b = Graph::new();
+        for _ in 0..3 {
+            b.add_node();
+        }
+        b.add_edge(n(2), n(1)).unwrap();
+        b.add_edge(n(0), n(2)).unwrap();
+        b.add_edge(n(1), n(0)).unwrap();
+        b.remove_edge(n(0), n(2)).unwrap();
+        assert_ne!(a.version(), b.version());
+        assert_ne!(a.lineage(), b.lineage());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_clone_is_equal_but_starts_its_own_lineage() {
+        let mut g = Graph::with_nodes(2);
+        g.add_edge(n(0), n(1)).unwrap();
+        let copy = g.clone();
+        assert_eq!(copy, g);
+        assert_eq!(copy.version(), g.version());
+        assert_ne!(copy.lineage(), g.lineage());
+        assert_ne!(Graph::new().lineage(), Graph::default().lineage());
+    }
+
+    #[test]
+    fn changed_since_names_every_changed_row() {
+        // Ids 0, 20, 40, 60 and 80 sit in five different 16-id blocks.
+        let mut g = Graph::with_nodes(81);
+        let blocks = |g: &Graph, since: u64| -> Vec<usize> {
+            let ids: Vec<usize> = g.changed_since(since).map(NodeId::index).collect();
+            ids.chunks(16).map(|b| b[0] / 16).collect()
+        };
+        let v0 = g.version();
+        assert!(g.changed_since(v0).next().is_none());
+        g.add_edge(n(0), n(40)).unwrap();
+        assert_eq!(blocks(&g, v0), [0, 2]);
+        let v1 = g.version();
+        assert_eq!(v1, v0 + 1);
+        g.add_edge(n(20), n(40)).unwrap();
+        g.add_edge(n(60), n(40)).unwrap();
+        let v2 = g.version();
+        g.remove_edge(n(0), n(40)).unwrap();
+        assert_eq!(blocks(&g, v2), [0, 2]);
+        let v3 = g.version();
+        // A removed node and each of its former neighbours.
+        g.remove_node(n(40)).unwrap();
+        assert_eq!(blocks(&g, v3), [1, 2, 3]);
+        assert_eq!(blocks(&g, v1), [0, 1, 2, 3]);
+        // A new node: its block is the last, partial one.
+        let v4 = g.version();
+        let fresh = g.add_node();
+        let ids: Vec<NodeId> = g.changed_since(v4).collect();
+        assert_eq!(ids, [n(80), fresh]);
+        // Failed mutations change nothing.
+        let v5 = g.version();
+        assert!(g.add_edge(n(1), n(1)).is_err());
+        assert!(g.remove_edge(n(1), n(2)).is_err());
+        assert!(g.remove_node(n(40)).is_err());
+        assert_eq!(g.version(), v5);
     }
 }

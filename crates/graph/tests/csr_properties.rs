@@ -1,8 +1,9 @@
 //! Property tests for the frozen CSR snapshot layer: construction
 //! mirrors the live adjacency exactly, the dense remap is a monotone
-//! bijection over the live ids, and the bidirectional kernels return
+//! bijection over the live ids, the bidirectional kernels return
 //! bit-identical answers to [`fg_graph::traversal`] on random churned
-//! graphs — the contract the frozen query path is built on.
+//! graphs, and advancing a snapshot equals freezing afresh — the
+//! contract the frozen query path is built on.
 
 use fg_graph::{generators, traversal, FrozenCsr, Graph, NodeId};
 use proptest::prelude::*;
@@ -11,11 +12,17 @@ fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
 
-/// Applies a random op tape over a seeded cycle: node adds, edge adds,
-/// node removals and edge removals, so freezes see tombstones, isolated
-/// survivors and multi-component remainders.
+/// A seeded cycle after a random op tape ([`apply_ops`]), so freezes
+/// see tombstones, isolated survivors and multi-component remainders.
 fn churned_graph(base: usize, ops: &[u8]) -> Graph {
     let mut g = generators::cycle(base);
+    apply_ops(&mut g, ops);
+    g
+}
+
+/// Applies a random op tape: node adds, edge adds, node removals and
+/// edge removals, each byte triple one op over ids ever issued.
+fn apply_ops(g: &mut Graph, ops: &[u8]) {
     for chunk in ops.chunks_exact(3) {
         let (op, a, b) = (chunk[0] % 4, chunk[1] as u32, chunk[2] as u32);
         let total = g.nodes_ever() as u32;
@@ -39,20 +46,6 @@ fn churned_graph(base: usize, ops: &[u8]) -> Graph {
                     g.remove_edge(n(u), n(v)).expect("edge exists");
                 }
             }
-        }
-    }
-    g
-}
-
-/// Appends one node per byte pair of `tape`, each joined to up to three
-/// distinct live nodes — all of them older, as in an adversarial insert.
-fn append_nodes(g: &mut Graph, tape: &[u8]) {
-    for chunk in tape.chunks_exact(2) {
-        let live: Vec<NodeId> = g.iter().collect();
-        let v = g.add_node();
-        for k in 0..usize::from(chunk[0] % 4).min(live.len()) {
-            let w = live[(usize::from(chunk[1]) + 7 * k) % live.len()];
-            let _ = g.ensure_edge(v, w);
         }
     }
 }
@@ -138,30 +131,34 @@ proptest! {
         }
     }
 
-    /// Extending a snapshot across appended nodes, once or twice in a
-    /// row, equals freezing from scratch; once any node dies, `extend`
-    /// declines.
+    /// Advancing a snapshot across any changes — nodes added, edges
+    /// added and removed between old nodes, nodes removed — equals a
+    /// fresh freeze, twice in a row. So does advancing it with a clone
+    /// changed by a different tape, or with an unrelated graph, both of
+    /// which it must freeze from scratch.
     #[test]
-    fn extend_across_appended_nodes_equals_a_fresh_freeze(
+    fn advance_after_any_change_equals_a_fresh_freeze(
         base in 3usize..60,
         ops in prop::collection::vec(any::<u8>(), 0..150),
-        first in prop::collection::vec(any::<u8>(), 0..30),
-        second in prop::collection::vec(any::<u8>(), 0..30),
-        victim in any::<u8>(),
+        second in prop::collection::vec(any::<u8>(), 0..60),
+        third in prop::collection::vec(any::<u8>(), 0..60),
+        forked in prop::collection::vec(any::<u8>(), 0..120),
     ) {
         let mut g = churned_graph(base, &ops);
         let csr = FrozenCsr::from_graph(&g);
-        append_nodes(&mut g, &first);
-        let once = csr.extend(&g);
-        prop_assert_eq!(&once, &Some(FrozenCsr::from_graph(&g)));
-        append_nodes(&mut g, &second);
-        let twice = once.and_then(|c| c.extend(&g));
-        prop_assert_eq!(&twice, &Some(FrozenCsr::from_graph(&g)));
-        let live: Vec<NodeId> = g.iter().collect();
-        if !live.is_empty() {
-            g.remove_node(live[usize::from(victim) % live.len()]).expect("live node");
-            prop_assert_eq!(csr.extend(&g), None);
-            prop_assert_eq!(twice.and_then(|c| c.extend(&g)), None);
-        }
+        let mut fork = g.clone();
+        apply_ops(&mut g, &second);
+        let once = csr.advance(&g);
+        prop_assert_eq!(&once, &FrozenCsr::from_graph(&g));
+        apply_ops(&mut g, &third);
+        let twice = once.advance(&g);
+        prop_assert_eq!(&twice, &FrozenCsr::from_graph(&g));
+
+        apply_ops(&mut fork, &forked);
+        let fresh = FrozenCsr::from_graph(&fork);
+        prop_assert_eq!(&once.advance(&fork), &fresh);
+        prop_assert_eq!(&twice.advance(&fork), &fresh);
+        let unrelated = churned_graph(base, &forked);
+        prop_assert_eq!(twice.advance(&unrelated), FrozenCsr::from_graph(&unrelated));
     }
 }

@@ -9,12 +9,13 @@
 //! read is alive. Here the writer owns the healer exclusively and the
 //! readers pin immutable [`FrozenView`]s — stage-then-commit: the writer
 //! stages the next snapshot off to the side by advancing the last one
-//! it published ([`FrozenView::advance`] shares or extends the CSRs the
-//! events left in place), then commits it with one pointer swap. A
-//! reader can never observe a torn snapshot because the swap is the
-//! *only* shared mutation and it installs a fully built,
-//! never-again-mutated value; a CSR two epochs share is never mutated
-//! either (see DESIGN.md §13 for the consistency argument).
+//! it published ([`FrozenView::advance`] shares a CSR whose graph did
+//! not change and re-reads only the changed rows of the other), then
+//! commits it with one pointer swap. A reader can never observe a torn
+//! snapshot because the swap is the *only* shared mutation and it
+//! installs a fully built, never-again-mutated value; a CSR two epochs
+//! share is never mutated either (see DESIGN.md §13 for the consistency
+//! argument).
 //!
 //! Every snapshot carries its **certificate**: the `(epoch, digest)`
 //! pair, where the digest chains every applied outcome's
@@ -438,6 +439,22 @@ mod tests {
         assert!(std::ptr::eq(bridged.view.ghost(), after.view.ghost()));
         assert!(!std::ptr::eq(before.view.ghost(), bridged.view.ghost()));
         assert_eq!(after.view, publisher.healer().view().freeze());
+    }
+
+    #[test]
+    fn publishing_with_nothing_applied_shares_both_csrs() {
+        let fg = ForgivingGraph::from_graph(&generators::cycle(8)).unwrap();
+        let mut publisher = Publisher::new(fg);
+        let hub = publisher.hub();
+        let _ = publisher
+            .apply_and_publish(&[NetworkEvent::delete(NodeId::new(3))])
+            .unwrap();
+        let before = hub.pin();
+        publisher.publish();
+        let after = hub.pin();
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert!(std::ptr::eq(before.view.image(), after.view.image()));
+        assert!(std::ptr::eq(before.view.ghost(), after.view.ghost()));
     }
 
     #[test]
