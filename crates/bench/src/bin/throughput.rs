@@ -27,11 +27,10 @@
 //! backend without its default arena [`CompactionPolicy`], for the
 //! uncompacted comparison; the post-run arena occupancy is recorded
 //! either way),
-//! `--trace-out <path>` (dump the trace for cross-ref replays),
-//! `--wal <dir>` (run the engine backend through a [`DurableHealer`]
-//! so every event is logged-then-fsynced before acknowledgement) with
-//! `--checkpoint-every <k>` / `--wal-sync-every <k>` tuning, plus the
+//! `--trace-out <path>` (dump the trace for cross-ref replays), plus the
 //! shared `--seed` / `--scale` / `--json <path>`. `--help` prints usage.
+//! The durable write path is measured end to end by the repo benchmark's
+//! `write-ack` workload (`perfbench`), not here.
 
 use fg_bench::json::Json;
 use fg_bench::{
@@ -42,7 +41,6 @@ use fg_core::{
 };
 use fg_dist::DistHealer;
 use fg_metrics::{f2, Table};
-use fg_store::{DurableHealer, DurableOptions};
 
 /// Everything one backend replay produced: the write-side result, the
 /// read-side stats (mixed runs), the per-phase wall times (`--profile`)
@@ -135,14 +133,8 @@ fn main() {
     let json_path = args.json_path().unwrap_or("BENCH_throughput.json");
     let host_cpus = fg_bench::host_cpus();
     let workload = args.query_workload(seed.wrapping_add(0x9e37));
-    let wal_dir = args.raw("wal").map(std::path::PathBuf::from);
     let profile = args.get("profile", 0usize) != 0;
     let compact = (args.get("compact", 1usize) != 0).then(CompactionPolicy::default);
-    let checkpoint_every = args.get("checkpoint-every", 0u64);
-    let wal_opts = DurableOptions {
-        checkpoint_every: (checkpoint_every > 0).then_some(checkpoint_every),
-        sync_every: args.get("wal-sync-every", 64usize).max(1),
-    };
 
     let runner = ScenarioRunner::new(batch);
     let mut table = Table::new(
@@ -183,35 +175,13 @@ fn main() {
         if backend == "engine" || backend == "both" {
             let mut fg = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
             fg.set_compaction(compact);
-            match &wal_dir {
-                // Durable run: every event is logged-then-fsynced before the
-                // runner sees its outcome, so the wall clock honestly prices
-                // the write barrier. One store per workload name.
-                Some(dir) => {
-                    let store = dir.join(name);
-                    let _ = std::fs::remove_dir_all(&store);
-                    let mut durable =
-                        DurableHealer::create(fg, &store, wal_opts).expect("fresh WAL store");
-                    runs.push(run_backend(
-                        &runner,
-                        &sc,
-                        &mut durable,
-                        workload.as_ref(),
-                        profile,
-                    ));
-                    durable.sync().expect("final WAL sync");
-                    eprintln!("wal store for {name}: {}", store.display());
-                }
-                None => {
-                    runs.push(run_backend(
-                        &runner,
-                        &sc,
-                        &mut fg,
-                        workload.as_ref(),
-                        profile,
-                    ));
-                }
-            }
+            runs.push(run_backend(
+                &runner,
+                &sc,
+                &mut fg,
+                workload.as_ref(),
+                profile,
+            ));
         }
         if backend == "dist" || backend == "both" {
             let mut dist = DistHealer::from_graph(&sc.initial, PlacementPolicy::Adjacent);
@@ -268,12 +238,6 @@ fn main() {
         .field("batch", Json::Int(batch as i64))
         .field("seed", Json::Int(seed as i64))
         .field("host_cpus", Json::Int(host_cpus as i64));
-    if let Some(dir) = &wal_dir {
-        config = config
-            .field("wal", Json::str(dir.display().to_string()))
-            .field("wal_checkpoint_every", Json::Int(checkpoint_every as i64))
-            .field("wal_sync_every", Json::Int(wal_opts.sync_every as i64));
-    }
     if let Some(policy) = &compact {
         config = config
             .field("compact_min_density", Json::Float(policy.min_density))

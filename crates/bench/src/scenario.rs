@@ -24,7 +24,7 @@ use crate::json::Json;
 use crate::queries::{
     answer_api, answer_naive, answer_served, answers_agree, QueryStats, QueryStream, QueryWorkload,
 };
-use fg_core::{EngineError, GraphView, HealerObserver, NetworkEvent, SelfHealer};
+use fg_core::{EngineError, GraphView, NetworkEvent, SelfHealer};
 use fg_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -528,27 +528,13 @@ impl ScenarioRunner {
         scenario: &Scenario,
         healer: &mut dyn SelfHealer,
     ) -> Result<RunResult, EngineError> {
-        // `apply_batch` (not `apply_batch_observed` with a no-op): the
-        // engine's unobserved path monomorphizes its callbacks away, and
-        // this is the entry point the throughput trajectory measures.
-        self.run_inner(scenario, healer, |h, batch| h.apply_batch(batch))
-    }
-
-    /// [`ScenarioRunner::run`] with a streaming observer riding along
-    /// (inside the timed region — observers have a cost only when used).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScenarioRunner::run`].
-    pub fn run_observed(
-        &self,
-        scenario: &Scenario,
-        healer: &mut dyn SelfHealer,
-        obs: &mut dyn HealerObserver,
-    ) -> Result<RunResult, EngineError> {
-        self.run_inner(scenario, healer, |h, batch| {
-            h.apply_batch_observed(batch, &mut *obs)
-        })
+        let mut tallies = Tallies::default();
+        for batch in scenario.events.chunks(self.batch_size) {
+            let start = Instant::now();
+            let report = healer.apply_batch(batch)?;
+            tallies.fold(start.elapsed().as_secs_f64(), &report);
+        }
+        Ok(tallies.into_result(self, scenario, healer))
     }
 
     /// Replays `scenario` while serving an interleaved read workload:
@@ -645,24 +631,6 @@ impl ScenarioRunner {
             run: tallies.into_result(self, scenario, healer),
             queries: stats,
         })
-    }
-
-    fn run_inner(
-        &self,
-        scenario: &Scenario,
-        healer: &mut dyn SelfHealer,
-        mut ingest: impl FnMut(
-            &mut dyn SelfHealer,
-            &[NetworkEvent],
-        ) -> Result<fg_core::BatchReport, EngineError>,
-    ) -> Result<RunResult, EngineError> {
-        let mut tallies = Tallies::default();
-        for batch in scenario.events.chunks(self.batch_size) {
-            let start = Instant::now();
-            let report = ingest(healer, batch)?;
-            tallies.fold(start.elapsed().as_secs_f64(), &report);
-        }
-        Ok(tallies.into_result(self, scenario, healer))
     }
 }
 

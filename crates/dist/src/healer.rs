@@ -71,11 +71,6 @@ impl DistHealer {
     pub fn costs(&self) -> &[RepairCost] {
         &self.net.repair_costs
     }
-
-    /// Unwraps the adapter.
-    pub fn into_network(self) -> Network {
-        self.net
-    }
 }
 
 impl SelfHealer for DistHealer {

@@ -49,8 +49,9 @@ pub const FORBID_UNSAFE: &str = "forbid-unsafe";
 
 /// The panic-free zones: protocol parsing and the per-connection serve
 /// path (a panicking connection used to poison the worker queue — PR 9),
-/// plus the WAL scan/recovery readers (a panic during recovery turns
-/// recoverable damage into an unstartable store).
+/// the shared frame codec every protocol parses through, plus the WAL
+/// scan/recovery readers (a panic during recovery turns recoverable
+/// damage into an unstartable store).
 pub const PANIC_FREEDOM: Rule = Rule {
     name: "panic-freedom",
     patterns: &[
@@ -77,6 +78,10 @@ pub const PANIC_FREEDOM: Rule = Rule {
                 "send_op_error",
                 "send_protocol_error",
             ],
+        },
+        Zone {
+            path: "crates/store/src/codec.rs",
+            items: &[],
         },
         Zone {
             path: "crates/store/src/wal.rs",
@@ -210,6 +215,30 @@ pub const SWALLOWED_RESULTS: Rule = Rule {
           written reason",
 };
 
+/// The WAL, FGQ1 and FGR1 share one frame layout, and each once carried
+/// its own copy of the frame writer and checks; the copies drifted (only
+/// FGQ1's writer checked the size cap, and only in debug builds). A
+/// frame is written or checked only in `fg_store::codec`, so a CRC
+/// computed anywhere else is a second codec.
+pub const ONE_FRAME_CODEC: Rule = Rule {
+    name: "one-frame-codec",
+    patterns: &["crc32("],
+    zones: &[
+        Zone {
+            path: "crates/",
+            items: &[],
+        },
+        Zone {
+            path: "src/",
+            items: &[],
+        },
+    ],
+    allowed_paths: &["crates/store/src/codec.rs"],
+    why: "frames are written and checked only by fg_store::codec \
+          (frame, frame_header, check_frame, frame_at): hand-rolled copies \
+          of the WAL/FGQ1/FGR1 framing drifted apart",
+};
+
 /// Every pattern rule, in reporting order.
 pub const RULES: &[&Rule] = &[
     &PANIC_FREEDOM,
@@ -217,6 +246,7 @@ pub const RULES: &[&Rule] = &[
     &POISON_SAFE_LOCKS,
     &DETERMINISM,
     &SWALLOWED_RESULTS,
+    &ONE_FRAME_CODEC,
 ];
 
 /// Every rule name a suppression may legally reference.
@@ -226,6 +256,7 @@ pub const ALL_RULE_NAMES: &[&str] = &[
     POISON_SAFE_LOCKS.name,
     DETERMINISM.name,
     SWALLOWED_RESULTS.name,
+    ONE_FRAME_CODEC.name,
     FORBID_UNSAFE,
     BAD_SUPPRESSION,
 ];

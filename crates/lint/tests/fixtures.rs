@@ -78,6 +78,26 @@ fn blessed_io_is_silent_inside_the_wrappers() {
 }
 
 #[test]
+fn one_frame_codec_fires_outside_the_codec() {
+    let report = analyze_source(
+        "crates/serve/src/protocol.rs",
+        fixture!("one_frame_codec_violation.rs"),
+    );
+    assert_eq!(firing_lines(&report), vec![("one-frame-codec", 3)]);
+}
+
+#[test]
+fn one_frame_codec_is_silent_inside_the_codec() {
+    // The same hand-rolled frame writer, but in fg-store's codec — the
+    // one module that owns the frame layout.
+    let report = analyze_source(
+        "crates/store/src/codec.rs",
+        fixture!("one_frame_codec_allowed.rs"),
+    );
+    assert!(report.is_clean(), "unexpected: {:?}", report.findings);
+}
+
+#[test]
 fn poison_safe_locks_fires_on_lock_unwrap() {
     let report = analyze_source(
         "crates/serve/src/hub.rs",

@@ -10,7 +10,9 @@
 //! connection's requests strictly in arrival order).
 
 use crate::error::ServeError;
-use crate::protocol::{parse_frame_header, verify_frame, Request, Response, ResponseBody};
+use crate::protocol::{
+    parse_frame_header, verify_frame, ErrorCode, Request, Response, ResponseBody, MAX_FRAME_PAYLOAD,
+};
 use fg_core::NetworkEvent;
 use fg_graph::NodeId;
 use std::io::{Read, Write};
@@ -52,11 +54,25 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// The socket write failure.
+    /// [`ServeError::Server`] with [`ErrorCode::Oversized`] when the
+    /// request's payload is over [`MAX_FRAME_PAYLOAD`]: the server would
+    /// refuse it and close the connection, so it is refused here before
+    /// a byte is written and the connection stays usable. Otherwise the
+    /// socket write failure.
     pub fn send(&mut self, request: &Request) -> Result<u64, ServeError> {
         let id = self.next_id;
+        let frame = request.to_frame(id);
+        let len = frame.len() - 8;
+        if len > MAX_FRAME_PAYLOAD {
+            return Err(ServeError::Server {
+                code: ErrorCode::Oversized,
+                message: format!(
+                    "request payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
+                ),
+            });
+        }
         self.next_id += 1;
-        self.stream.write_all(&request.to_frame(id))?;
+        self.stream.write_all(&frame)?;
         Ok(id)
     }
 

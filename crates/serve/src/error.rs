@@ -15,7 +15,10 @@ pub enum ServeError {
     /// bad magic, bad CRC, oversized length prefix, truncated payload.
     /// Carries a human-readable description of the violation.
     Malformed(String),
-    /// The server answered with a typed error frame instead of a result.
+    /// The server answered with a typed error frame instead of a result,
+    /// or the client refused a request the server would have refused:
+    /// [`Client::send`](crate::Client::send) raises
+    /// [`ErrorCode::Oversized`] itself, before writing a byte.
     Server {
         /// The machine-readable error class.
         code: ErrorCode,

@@ -13,7 +13,8 @@
 //!   ([`SnapshotHub`]); readers pin the latest epoch per request and
 //!   superseded epochs are freed by the last pin's drop.
 //! - [`protocol`]: FGQ1, a length-prefixed CRC-framed binary protocol
-//!   (framing borrowed from the WAL) with typed error frames; every
+//!   (the frame is [`fg_store::codec`]'s, shared with the WAL and FGR1)
+//!   with typed error frames; every
 //!   response carries the `(epoch, digest)` certificate of the
 //!   snapshot that answered it.
 //! - [`server`]: an acceptor plus N reader threads over std

@@ -2,18 +2,23 @@
 //!
 //! ## Frame format
 //!
-//! Every message in either direction is one CRC-framed record, exactly
-//! like the WAL's (`fg_store::wal`):
+//! Every message in either direction is one frame of the layout the WAL
+//! and FGR1 share, written and checked by [`fg_store::codec`]:
 //!
 //! ```text
 //! [len: u32 LE][crc: u32 LE][payload]
 //! ```
 //!
 //! `len` is the payload length (bounded by [`MAX_FRAME_PAYLOAD`]); `crc`
-//! is CRC-32 (IEEE) over the payload. A frame whose length prefix is
-//! oversized, whose checksum fails, or whose payload violates the rules
-//! below is *malformed*: the server answers with a typed error frame and
-//! closes the connection — it never panics and never guesses.
+//! is CRC-32 (IEEE) over the payload. [`frame`] is the codec's writer;
+//! [`parse_frame_header`] and [`verify_frame`] run the codec's checks and
+//! only attach this protocol's [`ErrorCode`]s. A frame whose length
+//! prefix is oversized, whose checksum fails, or whose payload violates
+//! the rules below is *malformed*: the server answers with a typed error
+//! frame and closes the connection — it never panics and never guesses.
+//! Payloads are read through the codec's [`Cursor`], which has no panic
+//! path. A client refuses to send a request over the cap
+//! ([`Client::send`](crate::Client::send)).
 //!
 //! ## Request payload
 //!
@@ -64,7 +69,10 @@
 use crate::error::ServeError;
 use fg_core::NetworkEvent;
 use fg_graph::NodeId;
-use fg_store::{crc32, decode_events, encode_events};
+use fg_store::codec::{check_frame, frame_header, Cursor};
+use fg_store::{decode_events, encode_events};
+
+pub use fg_store::codec::frame;
 
 /// The four magic bytes opening every FGQ1 payload.
 pub const MAGIC: [u8; 4] = *b"FGQ1";
@@ -165,11 +173,6 @@ impl Request {
         }
     }
 
-    /// Whether this op mutates state (and is therefore master-only).
-    pub fn is_write(&self) -> bool {
-        matches!(self, Request::SubmitEvent(_) | Request::SubmitBatch(_))
-    }
-
     /// The framed wire bytes of this request under `request_id`.
     pub fn to_frame(&self, request_id: u64) -> Vec<u8> {
         let mut payload = Vec::with_capacity(MIN_REQUEST_PAYLOAD + 8);
@@ -209,7 +212,9 @@ impl Request {
     /// readable before the failure it is returned alongside, so the
     /// error frame can echo it.
     pub fn parse(payload: &[u8]) -> Result<(u64, Request), (Option<u64>, ErrorCode, String)> {
-        if payload.len() < MIN_REQUEST_PAYLOAD {
+        let mut cur = Cursor::new(payload);
+        let (Ok(magic), Ok(version), Ok(id), Ok(op)) = (cur.array(), cur.u8(), cur.u64(), cur.u8())
+        else {
             return Err((
                 None,
                 ErrorCode::BadPayload,
@@ -218,63 +223,30 @@ impl Request {
                     payload.len()
                 ),
             ));
-        }
-        if payload[..4] != MAGIC {
+        };
+        if magic != MAGIC {
             return Err((
                 None,
                 ErrorCode::BadMagic,
-                format!("payload opens with {:02x?}, not \"FGQ1\"", &payload[..4]),
+                format!("payload opens with {magic:02x?}, not \"FGQ1\""),
             ));
         }
-        if payload[4] != VERSION {
+        if version != VERSION {
             return Err((
                 None,
                 ErrorCode::BadMagic,
-                format!(
-                    "protocol version {} (this server speaks {VERSION})",
-                    payload[4]
-                ),
+                format!("protocol version {version} (this server speaks {VERSION})"),
             ));
         }
-        let id = u64::from_le_bytes(arr(&payload[5..13]));
-        let op = payload[13];
-        let args = &payload[14..];
-        let one = |args: &[u8]| -> Result<NodeId, String> {
-            if args.len() != 4 {
-                return Err(format!(
-                    "op {op} takes one node id (4 bytes), got {}",
-                    args.len()
-                ));
-            }
-            Ok(NodeId::new(u32::from_le_bytes(arr(args))))
-        };
-        let two = |args: &[u8]| -> Result<(NodeId, NodeId), String> {
-            if args.len() != 8 {
-                return Err(format!(
-                    "op {op} takes two node ids (8 bytes), got {}",
-                    args.len()
-                ));
-            }
-            Ok((
-                NodeId::new(u32::from_le_bytes(arr(&args[..4]))),
-                NodeId::new(u32::from_le_bytes(arr(&args[4..]))),
-            ))
-        };
         let request = match op {
-            0 => {
-                if args.is_empty() {
-                    Ok(Request::Epoch)
-                } else {
-                    Err(format!("epoch takes no args, got {} bytes", args.len()))
-                }
-            }
-            1 => two(args).map(|(u, v)| Request::Distance(u, v)),
-            2 => two(args).map(|(u, v)| Request::Path(u, v)),
-            3 => two(args).map(|(u, v)| Request::Stretch(u, v)),
-            4 => one(args).map(Request::Degree),
-            5 => one(args).map(Request::Neighbors),
-            6 => two(args).map(|(u, v)| Request::SameComponent(u, v)),
-            7 => decode_events(args)
+            0 => node_ids(cur, op).map(|[]| Request::Epoch),
+            1 => node_ids(cur, op).map(|[u, v]| Request::Distance(u, v)),
+            2 => node_ids(cur, op).map(|[u, v]| Request::Path(u, v)),
+            3 => node_ids(cur, op).map(|[u, v]| Request::Stretch(u, v)),
+            4 => node_ids(cur, op).map(|[u]| Request::Degree(u)),
+            5 => node_ids(cur, op).map(|[u]| Request::Neighbors(u)),
+            6 => node_ids(cur, op).map(|[u, v]| Request::SameComponent(u, v)),
+            7 => decode_events(cur.rest())
                 .map_err(|detail| format!("submit-event list does not decode: {detail}"))
                 .and_then(|mut events| match (events.pop(), events.is_empty()) {
                     (Some(event), true) => Ok(Request::SubmitEvent(event)),
@@ -283,7 +255,7 @@ impl Request {
                         events.len() + usize::from(popped.is_some())
                     )),
                 }),
-            8 => decode_events(args)
+            8 => decode_events(cur.rest())
                 .map(Request::SubmitBatch)
                 .map_err(|detail| format!("submit-batch list does not decode: {detail}")),
             other => {
@@ -299,6 +271,22 @@ impl Request {
             Err(detail) => Err((Some(id), ErrorCode::BadPayload, detail)),
         }
     }
+}
+
+/// Reads an op's arguments: exactly `N` node ids and nothing after them.
+fn node_ids<const N: usize>(mut cur: Cursor<'_>, op: u8) -> Result<[NodeId; N], String> {
+    if cur.remaining() != 4 * N {
+        return Err(format!(
+            "op {op} takes {N} node id(s) ({} bytes), got {}",
+            4 * N,
+            cur.remaining()
+        ));
+    }
+    let mut ids = [NodeId::new(0); N];
+    for id in &mut ids {
+        *id = NodeId::new(cur.u32()?);
+    }
+    Ok(ids)
 }
 
 /// A successful response's op-specific result.
@@ -432,81 +420,91 @@ impl Response {
     /// rules — the transport gave us a well-framed record that is not a
     /// well-formed FGQ1 response.
     pub fn parse(payload: &[u8]) -> Result<Response, ServeError> {
-        let mut c = Dec::new(payload);
-        let magic = c.bytes(4)?;
-        if magic != MAGIC {
-            return Err(ServeError::Malformed(format!(
-                "response opens with {magic:02x?}, not \"FGQ1\""
-            )));
-        }
-        let version = c.u8()?;
-        if version != VERSION {
-            return Err(ServeError::Malformed(format!(
-                "response version {version} (this client speaks {VERSION})"
-            )));
-        }
-        let request_id = c.u64()?;
-        let status = c.u8()?;
-        let epoch = c.u64()?;
-        let digest = c.u64()?;
-        if status != 0 {
-            let code = ErrorCode::from_status(status)
-                .ok_or_else(|| ServeError::Malformed(format!("unknown error status {status}")))?;
-            let len = c.u16()? as usize;
-            let message = String::from_utf8_lossy(c.bytes(len)?).into_owned();
-            c.finish()?;
-            return Ok(Response {
-                request_id,
-                epoch,
-                digest,
-                body: Err((code, message)),
-            });
-        }
-        let op = c.u8()?;
-        let body = match op {
-            0 => ResponseBody::Epoch,
-            1 => ResponseBody::Distance(match c.u8()? {
-                0 => None,
-                1 => Some(c.u32()?),
-                other => return Err(bad_presence(other)),
-            }),
-            2 => ResponseBody::Path(c.opt_ids()?),
-            3 => ResponseBody::Stretch(match c.u8()? {
-                0 => None,
-                1 => Some(f64::from_bits(c.u64()?)),
-                other => return Err(bad_presence(other)),
-            }),
-            4 => ResponseBody::Degree(match c.u8()? {
-                0 => None,
-                1 => Some(c.u64()?),
-                other => return Err(bad_presence(other)),
-            }),
-            5 => ResponseBody::Neighbors(c.opt_ids()?),
-            6 => ResponseBody::SameComponent(match c.u8()? {
-                0 => false,
-                1 => true,
-                other => return Err(bad_presence(other)),
-            }),
-            7 => ResponseBody::EventSubmitted,
-            8 => ResponseBody::BatchSubmitted(c.u32()?),
-            other => {
-                return Err(ServeError::Malformed(format!(
-                    "response carries unknown op tag {other}"
-                )))
-            }
-        };
-        c.finish()?;
-        Ok(Response {
-            request_id,
-            epoch,
-            digest,
-            body: Ok(body),
-        })
+        parse_response(payload).map_err(ServeError::Malformed)
     }
 }
 
-fn bad_presence(byte: u8) -> ServeError {
-    ServeError::Malformed(format!("presence byte must be 0 or 1, got {byte}"))
+fn parse_response(payload: &[u8]) -> Result<Response, String> {
+    let mut c = Cursor::new(payload);
+    let magic = c.array()?;
+    if magic != MAGIC {
+        return Err(format!("response opens with {magic:02x?}, not \"FGQ1\""));
+    }
+    let version = c.u8()?;
+    if version != VERSION {
+        return Err(format!(
+            "response version {version} (this client speaks {VERSION})"
+        ));
+    }
+    let request_id = c.u64()?;
+    let status = c.u8()?;
+    let epoch = c.u64()?;
+    let digest = c.u64()?;
+    let body = if status != 0 {
+        let code = ErrorCode::from_status(status)
+            .ok_or_else(|| format!("unknown error status {status}"))?;
+        let len = usize::from(c.u16()?);
+        Err((code, String::from_utf8_lossy(c.take(len)?).into_owned()))
+    } else {
+        Ok(match c.u8()? {
+            0 => ResponseBody::Epoch,
+            1 => ResponseBody::Distance(optional(&mut c, Cursor::u32)?),
+            2 => ResponseBody::Path(optional(&mut c, node_list)?),
+            3 => ResponseBody::Stretch(optional(&mut c, |c| c.u64().map(f64::from_bits))?),
+            4 => ResponseBody::Degree(optional(&mut c, Cursor::u64)?),
+            5 => ResponseBody::Neighbors(optional(&mut c, node_list)?),
+            6 => ResponseBody::SameComponent(present(&mut c)?),
+            7 => ResponseBody::EventSubmitted,
+            8 => ResponseBody::BatchSubmitted(c.u32()?),
+            other => return Err(format!("response carries unknown op tag {other}")),
+        })
+    };
+    c.finish()?;
+    Ok(Response {
+        request_id,
+        epoch,
+        digest,
+        body,
+    })
+}
+
+/// Reads a presence byte: 0 or 1.
+fn present(c: &mut Cursor<'_>) -> Result<bool, String> {
+    match c.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(format!("presence byte must be 0 or 1, got {other}")),
+    }
+}
+
+/// `[presence][value]` — the optional-value shape.
+fn optional<'a, T>(
+    c: &mut Cursor<'a>,
+    read: impl FnOnce(&mut Cursor<'a>) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    if present(c)? {
+        read(c).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+/// `[count][ids...]` — a node list.
+fn node_list(c: &mut Cursor<'_>) -> Result<Vec<NodeId>, String> {
+    let count = c.u32()? as usize;
+    // Each id is 4 bytes; the bound keeps a lying count from allocating
+    // past the frame it arrived in.
+    if count > c.remaining() / 4 {
+        return Err(format!(
+            "node list claims {count} ids but only {} payload bytes remain",
+            c.remaining()
+        ));
+    }
+    let mut ids = Vec::with_capacity(count);
+    for _ in 0..count {
+        ids.push(NodeId::new(c.u32()?));
+    }
+    Ok(ids)
 }
 
 fn response_header(request_id: u64, status: u8, epoch: u64, digest: u64) -> Vec<u8> {
@@ -520,16 +518,6 @@ fn response_header(request_id: u64, status: u8, epoch: u64, digest: u64) -> Vec<
     payload
 }
 
-/// Wraps a payload in the `[len][crc]` frame header.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
-    let mut framed = Vec::with_capacity(8 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&crc32(payload).to_le_bytes());
-    framed.extend_from_slice(payload);
-    framed
-}
-
 /// Validates a frame header, returning the payload length to read.
 ///
 /// # Errors
@@ -538,15 +526,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// exceeds [`MAX_FRAME_PAYLOAD`] — the one violation detectable before
 /// reading the payload.
 pub fn parse_frame_header(header: [u8; 8]) -> Result<(usize, u32), (ErrorCode, String)> {
-    let len = u32::from_le_bytes(arr(&header[..4])) as usize;
-    let crc = u32::from_le_bytes(arr(&header[4..]));
-    if len > MAX_FRAME_PAYLOAD {
-        return Err((
-            ErrorCode::Oversized,
-            format!("length prefix {len} exceeds the {MAX_FRAME_PAYLOAD}-byte cap"),
-        ));
-    }
-    Ok((len, crc))
+    frame_header(header, 0..=MAX_FRAME_PAYLOAD).map_err(|detail| (ErrorCode::Oversized, detail))
 }
 
 /// Verifies a frame payload against its header checksum.
@@ -555,104 +535,7 @@ pub fn parse_frame_header(header: [u8; 8]) -> Result<(usize, u32), (ErrorCode, S
 ///
 /// [`ErrorCode::Malformed`] (with detail) on a CRC mismatch.
 pub fn verify_frame(payload: &[u8], crc: u32) -> Result<(), (ErrorCode, String)> {
-    let actual = crc32(payload);
-    if actual != crc {
-        return Err((
-            ErrorCode::Malformed,
-            format!("payload CRC {actual:#010x} does not match header {crc:#010x}"),
-        ));
-    }
-    Ok(())
-}
-
-/// Copies up to `N` leading bytes of `src` into a fixed array without a
-/// panic path (`zip` stops at the shorter side). Every caller checks the
-/// length first; a short `src` would zero-fill the tail rather than
-/// panic — protocol parsing must never take down a worker (panic-freedom
-/// invariant, DESIGN.md §15).
-fn arr<const N: usize>(src: &[u8]) -> [u8; N] {
-    let mut out = [0u8; N];
-    for (dst, byte) in out.iter_mut().zip(src) {
-        *dst = *byte;
-    }
-    out
-}
-
-/// A bounds-checked little-endian payload reader.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let Some(end) = end else {
-            return Err(ServeError::Malformed(format!(
-                "payload truncated: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        };
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ServeError> {
-        Ok(u16::from_le_bytes(arr(self.bytes(2)?)))
-    }
-
-    fn u32(&mut self) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(arr(self.bytes(4)?)))
-    }
-
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(arr(self.bytes(8)?)))
-    }
-
-    /// `[presence][count][ids...]` — the optional node-list shape.
-    fn opt_ids(&mut self) -> Result<Option<Vec<NodeId>>, ServeError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let count = self.u32()? as usize;
-                // Each id is 4 bytes; the bound keeps a lying count from
-                // allocating past the frame it arrived in.
-                if count * 4 > self.buf.len() - self.pos {
-                    return Err(ServeError::Malformed(format!(
-                        "node list claims {count} ids but only {} payload bytes remain",
-                        self.buf.len() - self.pos
-                    )));
-                }
-                let mut ids = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ids.push(NodeId::new(self.u32()?));
-                }
-                Ok(Some(ids))
-            }
-            other => Err(bad_presence(other)),
-        }
-    }
-
-    /// Asserts the payload was consumed exactly.
-    fn finish(self) -> Result<(), ServeError> {
-        if self.pos != self.buf.len() {
-            return Err(ServeError::Malformed(format!(
-                "{} trailing bytes after a complete payload",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+    check_frame(payload, crc).map_err(|detail| (ErrorCode::Malformed, detail))
 }
 
 #[cfg(test)]
@@ -692,6 +575,43 @@ mod tests {
             assert_eq!(id, i as u64 + 40);
             assert_eq!(parsed, req);
         }
+    }
+
+    #[test]
+    fn request_and_response_bytes_are_pinned() {
+        let request = Request::Distance(n(3), n(258)).to_frame(0x0102_0304_0506_0708);
+        let expected: Vec<u8> = [
+            &[22, 0, 0, 0][..],        // len
+            &[0x2d, 0x9e, 0xb9, 0xbf], // crc32(payload)
+            b"FGQ1",
+            &[1],                      // version
+            &[8, 7, 6, 5, 4, 3, 2, 1], // request id
+            &[1],                      // op: distance
+            &[3, 0, 0, 0, 2, 1, 0, 0], // 3, 258
+        ]
+        .concat();
+        assert_eq!(request, expected);
+
+        let response = Response::ok_frame(
+            5,
+            9,
+            0xdead_beef,
+            &ResponseBody::Path(Some(vec![n(1), n(2)])),
+        );
+        let expected: Vec<u8> = [
+            &[44, 0, 0, 0][..],        // len
+            &[0x36, 0x3a, 0x38, 0x0e], // crc32(payload)
+            b"FGQ1",
+            &[1],                                  // version
+            &[5, 0, 0, 0, 0, 0, 0, 0],             // request id
+            &[0],                                  // status: ok
+            &[9, 0, 0, 0, 0, 0, 0, 0],             // epoch
+            &[0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0], // digest
+            &[2, 1, 2, 0, 0, 0],                   // op: path, present, two ids
+            &[1, 0, 0, 0, 2, 0, 0, 0],             // 1, 2
+        ]
+        .concat();
+        assert_eq!(response, expected);
     }
 
     #[test]

@@ -119,10 +119,4 @@ impl<H: Persistable> ReplicaNode<H> {
     pub fn reconnect(&mut self) -> Result<(), ReplError> {
         self.replica.reconnect()
     }
-
-    /// Unwraps the store-level replica (the hub keeps serving its last
-    /// published snapshot).
-    pub fn into_replica(self) -> Replica<H> {
-        self.replica
-    }
 }

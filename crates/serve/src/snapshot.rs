@@ -19,17 +19,16 @@
 //!
 //! Every snapshot carries its **certificate**: the `(epoch, digest)`
 //! pair, where the digest chains every applied outcome's
-//! [`ReportDigest`] in order. Two replicas that
+//! [`ReportDigest`](fg_core::ReportDigest) in order. Two replicas that
 //! applied the same committed history answer with the same certificate,
 //! which is what makes a served answer checkable against the master's
 //! WAL (ROADMAP replication item).
 
 use crate::protocol::{Request, ResponseBody};
 use fg_core::{
-    BatchReport, EngineError, FrozenView, GraphView, HealOutcome, NetworkEvent, ReportDigest,
-    SelfHealer,
+    BatchReport, EngineError, FrozenView, GraphView, HealOutcome, NetworkEvent, SelfHealer,
 };
-use fg_store::{DurableHealer, Persistable};
+use fg_store::{chain_fold, DurableHealer, Persistable, CHAIN_BASE};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
@@ -82,16 +81,15 @@ impl ServeSnapshot {
     }
 }
 
-/// The digest a fresh history starts from (the FNV-1a offset basis) —
-/// what a snapshot of an untouched healer is stamped with.
-pub const BASE_DIGEST: u64 = 0xcbf2_9ce4_8422_2325;
+/// The digest a fresh history starts from — what a snapshot of an
+/// untouched healer is stamped with. It is the store's [`CHAIN_BASE`],
+/// so served stamps and the WAL's certificate chain agree.
+pub const BASE_DIGEST: u64 = CHAIN_BASE;
 
-/// Folds one applied outcome into a chained history digest.
+/// Folds one applied outcome into a chained history digest: the
+/// store's [`chain_fold`] of the outcome's digest.
 pub fn chain_digest(digest: u64, outcome: &HealOutcome) -> u64 {
-    ReportDigest::new()
-        .word(digest)
-        .word(outcome.digest())
-        .value()
+    chain_fold(digest, outcome.digest())
 }
 
 /// The atomically swapped publication point between one writer and any
@@ -294,7 +292,7 @@ impl<H: SelfHealer> Publisher<H> {
                 }
             }
             Err(_) => {
-                self.digest = ReportDigest::new().word(self.digest).word(u64::MAX).value();
+                self.digest = chain_fold(self.digest, u64::MAX);
             }
         }
         self.publish();

@@ -5,12 +5,12 @@
 //! (or closing cleanly), never by panicking or wedging. After every
 //! attack the same server must still answer a well-formed request.
 
-use fg_core::ForgivingGraph;
+use fg_core::{ForgivingGraph, NetworkEvent};
 use fg_graph::generators;
 use fg_graph::NodeId;
 use fg_serve::protocol::{frame, parse_frame_header, verify_frame, MAX_FRAME_PAYLOAD};
 use fg_serve::{
-    Client, ErrorCode, Publisher, Request, Response, Server, ServerConfig, SnapshotHub,
+    Client, ErrorCode, Publisher, Request, Response, ServeError, Server, ServerConfig, SnapshotHub,
 };
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -173,6 +173,27 @@ fn oversized_length_prefixes_are_rejected_without_allocation() {
         );
     }
     assert_still_serving(addr, epoch, digest);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_requests_are_refused_before_a_byte_is_sent() {
+    let (server, addr, epoch, digest) = fixture();
+    let mut client = Client::connect(addr).expect("connect");
+    // 300,000 deletes encode to about 1.5 MB, past the 1 MiB cap.
+    let events = (0..300_000)
+        .map(|i| NetworkEvent::delete(NodeId::new(i)))
+        .collect();
+    match client.submit_batch(events) {
+        Err(ServeError::Server {
+            code: ErrorCode::Oversized,
+            ..
+        }) => {}
+        other => panic!("expected a local Oversized refusal, got {other:?}"),
+    }
+    // Nothing reached the socket, so the same connection still works.
+    let stamped = client.epoch().expect("the connection survives");
+    assert_eq!((stamped.epoch, stamped.digest), (epoch, digest));
     server.shutdown();
 }
 

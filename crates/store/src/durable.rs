@@ -47,9 +47,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// The certificate chain's starting value (the FNV-1a offset basis) —
-/// the digest of an empty history. Matches the serving layer's
-/// `BASE_DIGEST` so a durable store and a fresh in-memory publisher
-/// stamp identical certificates for identical histories.
+/// the digest of an empty history. The serving layer's `BASE_DIGEST`
+/// is defined as this constant, so a durable store and a fresh
+/// in-memory publisher stamp identical certificates for identical
+/// histories.
 pub const CHAIN_BASE: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds one event's outcome digest into the certificate chain:

@@ -5,8 +5,10 @@
 //!
 //! ## The FGR1 protocol
 //!
-//! Same framing discipline as the WAL and the FGQ1 query protocol —
-//! length-prefixed, CRC-checked, magic-tagged:
+//! The frame is the WAL's and the FGQ1 query protocol's, written and
+//! checked by [`crate::codec`] ([`write_frame`] and [`read_frame`] wrap
+//! it around a socket, with payload bounds of 6 bytes to
+//! [`MAX_REPL_PAYLOAD`]); the payload is magic-tagged:
 //!
 //! ```text
 //! frame   = [len: u32 LE][crc32(payload): u32 LE][payload]
@@ -39,7 +41,7 @@
 //! (manifest + live segment), so it never races the writer's in-memory
 //! state; only records behind a [`crate::FLAG_COMMIT`] mark ever ship.
 
-use crate::codec::{crc32, fnv64, Cursor};
+use crate::codec::{check_frame, fnv64, frame, frame_header, Cursor};
 use crate::durable::{DurableHealer, DurableOptions, Persistable, RecoveryReport};
 use crate::error::StoreError;
 use crate::snapstore::{
@@ -65,6 +67,9 @@ pub const REPL_VERSION: u8 = 1;
 /// Upper bound on a frame payload (snapshots dominate; anything larger
 /// is garbage or abuse).
 pub const MAX_REPL_PAYLOAD: usize = 64 << 20;
+
+/// Smallest payload: magic, version and tag.
+const MIN_REPL_PAYLOAD: usize = 6;
 
 /// Error-frame code: the request did not parse.
 pub const REPL_ERR_BAD_REQUEST: u8 = 1;
@@ -238,9 +243,7 @@ impl ReplRequest {
             TAG_FETCH_SNAPSHOT => ReplRequest::FetchSnapshot,
             other => return Err(format!("unknown request tag {other}")),
         };
-        if !cur.is_done() {
-            return Err("trailing bytes after request".to_string());
-        }
+        cur.finish()?;
         Ok(req)
     }
 }
@@ -340,9 +343,7 @@ impl ReplResponse {
             }),
             TAG_CAUGHT_UP => {
                 let epoch = cur.u64()?;
-                if !cur.is_done() {
-                    return Err("trailing bytes after caught-up".to_string());
-                }
+                cur.finish()?;
                 Ok(ReplResponse::CaughtUp { epoch })
             }
             TAG_ERROR => {
@@ -365,7 +366,7 @@ fn payload_header(tag: u8) -> Vec<u8> {
 
 fn check_payload_header<'a>(payload: &'a [u8]) -> Result<Cursor<'a>, String> {
     let mut cur = Cursor::new(payload);
-    if cur.take(4)? != REPL_MAGIC {
+    if cur.array()? != REPL_MAGIC {
         return Err("bad magic".to_string());
     }
     let version = cur.u8()?;
@@ -381,11 +382,7 @@ fn check_payload_header<'a>(payload: &'a [u8]) -> Result<Cursor<'a>, String> {
 ///
 /// Any I/O failure.
 pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    stream.write_all(&frame)
+    stream.write_all(&frame(payload))
 }
 
 /// Reads one FGR1 frame, verifying length bounds and the checksum.
@@ -398,18 +395,11 @@ pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
 pub fn read_frame(stream: &mut TcpStream) -> Result<Vec<u8>, ReplError> {
     let mut header = [0u8; 8];
     stream.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(crate::wal::le4(&header[..4])) as usize;
-    let crc = u32::from_le_bytes(crate::wal::le4(&header[4..]));
-    if !(6..=MAX_REPL_PAYLOAD).contains(&len) {
-        return Err(ReplError::Malformed(format!(
-            "frame payload length {len} out of bounds"
-        )));
-    }
+    let (len, crc) =
+        frame_header(header, MIN_REPL_PAYLOAD..=MAX_REPL_PAYLOAD).map_err(ReplError::Malformed)?;
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(ReplError::Malformed("frame checksum mismatch".to_string()));
-    }
+    check_frame(&payload, crc).map_err(ReplError::Malformed)?;
     Ok(payload)
 }
 
@@ -913,5 +903,35 @@ impl<H: Persistable> Replica<H> {
     /// The replica's own store directory.
     pub fn dir(&self) -> &Path {
         self.healer.dir()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fetch_frame_bytes_are_pinned() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        let fetch = ReplRequest::Fetch {
+            have_epoch: 42,
+            max_bytes: 1 << 20,
+        };
+        write_frame(&mut tx, &fetch.encode()).unwrap();
+        drop(tx);
+        let mut bytes = Vec::new();
+        rx.read_to_end(&mut bytes).unwrap();
+        let expected: Vec<u8> = [
+            &[18, 0, 0, 0][..],        // len
+            &[0x97, 0x4d, 0x50, 0xb1], // crc32(payload)
+            b"FGR1",
+            &[1, 0],                    // version, tag: fetch
+            &[42, 0, 0, 0, 0, 0, 0, 0], // have_epoch
+            &[0, 0, 16, 0],             // max_bytes: 1 MiB
+        ]
+        .concat();
+        assert_eq!(bytes, expected);
     }
 }

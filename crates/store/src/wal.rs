@@ -10,7 +10,10 @@
 //! payload = [seq: u64 LE][flags: u8][digest: u64 LE][event wire form]
 //! ```
 //!
-//! * `len` is the payload length; `crc` is CRC-32 (IEEE) over the payload.
+//! * The frame is [`crate::codec`]'s: [`crate::codec::frame`] writes it,
+//!   and [`crate::codec::frame_at`] reads it back under this log's
+//!   payload bounds (22 bytes to 16 MiB). `len` is the payload length;
+//!   `crc` is CRC-32 (IEEE) over the payload.
 //! * `seq` is the engine's structural epoch *after* applying the event —
 //!   epochs advance by exactly one per event, so sequence numbers are
 //!   dense and recovery can detect gaps.
@@ -30,7 +33,7 @@
 //! never "before a committed checkpoint" by construction — the torn-tail
 //! truncation rule can never eat checkpointed history.
 
-use crate::codec::{crc32, decode_event, encode_event, Cursor};
+use crate::codec::{decode_event, encode_event, frame, frame_at, Cursor};
 use crate::error::StoreError;
 use fg_core::NetworkEvent;
 use std::fs::{File, OpenOptions};
@@ -74,11 +77,7 @@ impl WalRecord {
         payload.push(self.flags);
         payload.extend_from_slice(&self.digest.to_le_bytes());
         encode_event(&mut payload, &self.event);
-        let mut framed = Vec::with_capacity(8 + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed
+        frame(&payload)
     }
 }
 
@@ -206,18 +205,6 @@ pub fn decode_records(buf: &[u8]) -> Result<Vec<WalRecord>, String> {
     Ok(records)
 }
 
-/// Copies up to 4 leading bytes of `src` into an array without a panic
-/// path (`zip` stops at the shorter side); callers bounds-check first.
-/// WAL recovery and FGR1 framing must classify damage, never panic on
-/// it.
-pub(crate) fn le4(src: &[u8]) -> [u8; 4] {
-    let mut out = [0u8; 4];
-    for (dst, byte) in out.iter_mut().zip(src) {
-        *dst = *byte;
-    }
-    out
-}
-
 enum ParseFailure {
     /// Framing or checksum violation — crash damage or garbage.
     Damaged,
@@ -227,41 +214,22 @@ enum ParseFailure {
 }
 
 fn parse_record_at(buf: &[u8], pos: usize) -> Result<(WalRecord, usize), ParseFailure> {
-    let header_end = pos.checked_add(8).filter(|&e| e <= buf.len());
-    let Some(header_end) = header_end else {
-        return Err(ParseFailure::Damaged);
-    };
-    let len = u32::from_le_bytes(le4(&buf[pos..pos + 4])) as usize;
-    let crc = u32::from_le_bytes(le4(&buf[pos + 4..header_end]));
-    if !(MIN_PAYLOAD..=MAX_PAYLOAD).contains(&len) {
-        return Err(ParseFailure::Damaged);
-    }
-    let end = header_end.checked_add(len).filter(|&e| e <= buf.len());
-    let Some(end) = end else {
-        return Err(ParseFailure::Damaged);
-    };
-    let payload = &buf[header_end..end];
-    if crc32(payload) != crc {
-        return Err(ParseFailure::Damaged);
-    }
+    let rest = buf.get(pos..).unwrap_or_default();
+    let (payload, len) =
+        frame_at(rest, MIN_PAYLOAD..=MAX_PAYLOAD).map_err(|_| ParseFailure::Damaged)?;
     let mut cur = Cursor::new(payload);
     let record = (|| -> Result<WalRecord, String> {
-        let seq = cur.u64()?;
-        let flags = cur.u8()?;
-        let digest = cur.u64()?;
-        let event = decode_event(&mut cur)?;
-        if !cur.is_done() {
-            return Err("trailing bytes in payload".into());
-        }
-        Ok(WalRecord {
-            seq,
-            flags,
-            digest,
-            event,
-        })
+        let record = WalRecord {
+            seq: cur.u64()?,
+            flags: cur.u8()?,
+            digest: cur.u64()?,
+            event: decode_event(&mut cur)?,
+        };
+        cur.finish()?;
+        Ok(record)
     })()
     .map_err(ParseFailure::Undecodable)?;
-    Ok((record, end))
+    Ok((record, pos + len))
 }
 
 /// The fsync-batched appender.
@@ -414,6 +382,27 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fg-wal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        let record = WalRecord {
+            seq: 7,
+            flags: FLAG_COMMIT,
+            digest: 0x0123_4567_89ab_cdef,
+            event: NetworkEvent::insert([NodeId::new(3), NodeId::new(258)]),
+        };
+        let expected: Vec<u8> = [
+            &[30, 0, 0, 0][..],                                // len
+            &[0x82, 0x2a, 0x4b, 0xdd],                         // crc32(payload)
+            &[7, 0, 0, 0, 0, 0, 0, 0],                         // seq
+            &[1],                                              // flags: commit
+            &[0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01], // digest
+            &[0, 2, 0, 0, 0],                                  // insert, two ids
+            &[3, 0, 0, 0, 2, 1, 0, 0],                         // 3, 258
+        ]
+        .concat();
+        assert_eq!(record.to_bytes(), expected);
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! so the publish step is checked on its own: after every publish the
 //! pinned snapshot, advanced from the previous one, must equal a fresh
 //! freeze of the live healer. The first [`PER_EVENT`] events publish
-//! one at a time, covering a shared ghost (delete), extended CSRs
-//! (insert) and a refrozen image (delete); the rest publish in 64-event
-//! chunks, whose inserts can attach to each other.
+//! one at a time, so each `FrozenView::advance` crosses exactly one
+//! event: a delete shares the ghost CSR and re-reads only the image rows
+//! it changed, and an insert re-reads the changed and appended rows of
+//! both; the rest publish in 64-event chunks, whose inserts can attach
+//! to each other.
 //!
 //! [`FrozenView`]: forgiving_graph::core::FrozenView
 
