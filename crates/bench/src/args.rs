@@ -7,69 +7,91 @@
 //! * `--scale <f64>` — multiplies every size sweep (e.g. `--scale 4`
 //!   turns the 64/256/1024 sweep into 256/1024/4096);
 //! * `--json <path>` — additionally write the result tables as JSON;
-//! * binary-specific `--name value` pairs, read via [`BenchArgs::get`].
+//! * the binary's own `--name value` flags, which it names when it
+//!   parses ([`BenchArgs::parse`]) and reads via [`BenchArgs::get`].
 //!
 //! Parsing is deliberately minimal (no external crates): flags are
 //! `--name value` pairs in any order. `--help` (or `-h`) prints a usage
-//! line and exits 0. Input errors never panic: a malformed argument list
-//! or an unparsable value prints the error and the usage line to stderr
-//! and exits with status 2 ([`BenchArgs::fail`]).
+//! line listing the accepted flags and exits 0. Input errors never
+//! panic: a malformed argument list, an unknown flag or an unparsable
+//! value prints the error and the usage line to stderr and exits with
+//! status 2 ([`BenchArgs::fail`]).
 
 use crate::json::Json;
 use fg_metrics::Table;
 use std::str::FromStr;
 
+/// The flags every binary accepts (see the module docs).
+const SHARED_FLAGS: [&str; 3] = ["seed", "scale", "json"];
+
 /// Parsed command-line flags for an experiment binary.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BenchArgs {
     flags: Vec<(String, String)>,
+    /// Every flag name this binary accepts: the shared ones, then its own.
+    accepted: Vec<String>,
 }
 
 impl BenchArgs {
-    /// Parses the process arguments. `--help` or `-h` prints the usage
-    /// line and exits 0; a malformed list is an input error
-    /// ([`BenchArgs::fail`]).
-    pub fn parse() -> Self {
+    /// Parses the process arguments against the binary's own flag names
+    /// (`own`, without the `--`); the shared flags are always accepted.
+    /// `--help` or `-h` prints the usage line and exits 0; a malformed
+    /// list or an unknown flag is an input error ([`BenchArgs::fail`]).
+    pub fn parse(own: &[&str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
+        let empty = Self::accepting(own);
         if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{}", usage());
+            println!("{}", usage(&empty.accepted));
             std::process::exit(0);
         }
-        Self::parse_from(args).unwrap_or_else(|e| Self::fail(&e))
+        Self::parse_from(args, own).unwrap_or_else(|e| empty.fail(&e))
     }
 
-    /// Parses an explicit argument list.
+    /// Parses an explicit argument list against the binary's own flag
+    /// names (see [`BenchArgs::parse`]).
     ///
     /// # Errors
     ///
     /// A message naming the offending argument when the list is not a
-    /// run of `--name value` pairs: a positional argument, or a flag
-    /// without a value.
-    pub fn parse_from<I, S>(args: I) -> Result<Self, String>
+    /// run of `--name value` pairs (a positional argument, or a flag
+    /// without a value), or names a flag the binary does not accept.
+    pub fn parse_from<I, S>(args: I, own: &[&str]) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let mut flags = Vec::new();
+        let mut parsed = Self::accepting(own);
         let mut iter = args.into_iter().map(Into::into);
         while let Some(arg) = iter.next() {
             let name = arg
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {arg:?}"))?
                 .to_string();
+            if !parsed.accepted.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
             let value = iter
                 .next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
-            flags.push((name, value));
+            parsed.flags.push((name, value));
         }
-        Ok(BenchArgs { flags })
+        Ok(parsed)
+    }
+
+    /// No flags given yet; the shared flags and `own` are accepted.
+    fn accepting(own: &[&str]) -> Self {
+        let accepted = SHARED_FLAGS.iter().chain(own).map(|name| name.to_string());
+        BenchArgs {
+            flags: Vec::new(),
+            accepted: accepted.collect(),
+        }
     }
 
     /// Reports a command-line input error and exits: the message and the
     /// usage line go to stderr, and the exit status is 2.
-    pub fn fail(msg: &str) -> ! {
+    pub fn fail(&self, msg: &str) -> ! {
         eprintln!("error: {msg}");
-        eprintln!("{}", usage());
+        eprintln!("{}", usage(&self.accepted));
         std::process::exit(2)
     }
 
@@ -89,7 +111,7 @@ impl BenchArgs {
         match self.raw(name) {
             Some(v) => v
                 .parse()
-                .unwrap_or_else(|_| Self::fail(&format!("--{name} {v:?} is not a valid value"))),
+                .unwrap_or_else(|_| self.fail(&format!("--{name} {v:?} is not a valid value"))),
             None => default,
         }
     }
@@ -143,7 +165,7 @@ impl BenchArgs {
             let mut wl = crate::QueryWorkload::new(queries);
             if let Some(spec) = self.raw("query-mix") {
                 wl.mix = crate::QueryMix::parse(spec)
-                    .unwrap_or_else(|e| Self::fail(&format!("--query-mix {spec:?}: {e}")));
+                    .unwrap_or_else(|e| self.fail(&format!("--query-mix {spec:?}: {e}")));
             }
             wl.seed = self.query_seed(default_seed);
             wl.hot = self.get("query-hot", wl.hot);
@@ -168,16 +190,17 @@ impl BenchArgs {
 }
 
 /// The usage line printed for `--help` and after every input error.
-fn usage() -> String {
+fn usage(accepted: &[String]) -> String {
     let bin = std::env::args().next().unwrap_or_default();
     let bin = std::path::Path::new(&bin).file_name().map_or_else(
         || "fg-bench".to_string(),
         |name| name.to_string_lossy().into_owned(),
     );
+    let flags: Vec<String> = accepted.iter().map(|name| format!("--{name}")).collect();
     format!(
         "usage: {bin} [--<flag> <value>]...\n\
-         shared flags: --seed <u64>, --scale <f64>, --json <path>; \
-         the binary's module docs list the rest"
+         flags: {}; the binary's module docs describe them",
+        flags.join(", ")
     )
 }
 
@@ -206,7 +229,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> BenchArgs {
-        BenchArgs::parse_from(args.iter().copied()).unwrap()
+        BenchArgs::parse_from(args.iter().copied(), &["threshold"]).unwrap()
     }
 
     #[test]
@@ -240,10 +263,21 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let err = BenchArgs::parse_from(["--seed"]).unwrap_err();
+        let err = BenchArgs::parse_from(["--seed"], &[]).unwrap_err();
         assert!(err.contains("--seed needs a value"), "{err}");
-        let err = BenchArgs::parse_from(["seed", "1"]).unwrap_err();
+        let err = BenchArgs::parse_from(["seed", "1"], &[]).unwrap_err();
         assert!(err.contains("expected --flag"), "{err}");
+    }
+
+    #[test]
+    fn only_shared_and_listed_flags_are_accepted() {
+        let args = BenchArgs::parse_from(["--n", "16", "--json", "t.json"], &["n"]).unwrap();
+        assert_eq!(args.get("n", 0usize), 16);
+        assert_eq!(args.accepted, ["seed", "scale", "json", "n"]);
+        let err = BenchArgs::parse_from(["--n", "16", "--wal", "dir"], &["n"]).unwrap_err();
+        assert_eq!(err, "unknown flag --wal");
+        let err = BenchArgs::parse_from(["--queries", "8"], &[]).unwrap_err();
+        assert_eq!(err, "unknown flag --queries");
     }
 
     #[test]

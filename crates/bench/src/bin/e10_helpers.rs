@@ -13,7 +13,7 @@ use fg_metrics::Table;
 use std::collections::BTreeMap;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[]);
     let seed = args.seed(17);
     let mut table = Table::new(
         "E10 — helper accounting (Lemma 3): ≤ 1 helper per slot, rep cache never stale",

@@ -14,7 +14,7 @@ use fg_core::PlacementPolicy;
 use fg_metrics::{degree_stats, f2, ratio_histogram, Table};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[]);
     let seed = args.seed(7);
     let mut table = Table::new(
         "E1 — degree increase vs G' (Theorem 1.1; paper bound 3, hard envelope 4)",

@@ -12,7 +12,7 @@ use fg_core::PlacementPolicy;
 use fg_metrics::{f2, stretch_auto, Table};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&["stretch-samples", "stretch-threshold"]);
     let seed = args.seed(3);
     let threshold = args.get("stretch-threshold", 256usize);
     let samples = args.get("stretch-samples", 48usize);

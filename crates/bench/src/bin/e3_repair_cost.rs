@@ -14,7 +14,7 @@ use fg_graph::{generators, NodeId};
 use fg_metrics::{f2, Table};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[]);
     let seed = args.seed(13);
     let mut table = Table::new(
         "E3 — distributed repair cost (Lemma 4): messages O(d log n), rounds O(log d · log n)",

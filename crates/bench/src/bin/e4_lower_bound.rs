@@ -45,7 +45,7 @@ fn measure(healer: &mut dyn SelfHealer, n: usize, args: &BenchArgs, rows: &mut T
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&["stretch-samples", "stretch-threshold"]);
     let mut table = Table::new(
         "E4 — Theorem 2 lower bound on the star (delete hub): β ≥ ½·log₍α−1₎(n−1)",
         [

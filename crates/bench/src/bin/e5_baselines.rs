@@ -15,7 +15,7 @@ use fg_graph::generators;
 use fg_metrics::{f2, measure, Table};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[]);
     let seed = args.seed(21);
     let n = args.scale_n(256);
     let g = generators::connected_erdos_renyi(n, 8.0 / n as f64, seed);

@@ -10,7 +10,7 @@ use fg_haft::{binary, ops, Haft};
 use fg_metrics::Table;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[]);
     // Exhaustive verification first.
     let cap = args.scale_n(4096);
     let mut verified = 0usize;

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[]);
     let mut table = Table::new(
         "E7 — merge ≡ binary addition (Figure 5)",
         [

@@ -11,7 +11,7 @@ use fg_graph::{generators, traversal, NodeId};
 use fg_metrics::Table;
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[]);
     let mut table = Table::new(
         "E8 — neighbour distance through one reconstruction tree (bound 2·⌈log₂ d⌉)",
         ["d", "RT depth", "max pair dist", "bound", "within"],

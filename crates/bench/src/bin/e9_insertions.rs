@@ -17,7 +17,7 @@ use fg_graph::generators;
 use fg_metrics::{f2, measure_sampled, Table};
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[]);
     let seed = args.seed(31);
     let mut table = Table::new(
         "E9 — insertions + preprocessing: Forgiving Graph vs Forgiving Tree",

@@ -48,7 +48,15 @@ fn opts() -> DurableOptions {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[
+        "workload",
+        "n",
+        "events",
+        "batch",
+        "preload",
+        "fetch-bytes",
+        "kill-restart",
+    ]);
     let workload = args.raw("workload").unwrap_or("churn").to_string();
     let n = args.get("n", 256usize);
     let events = args.get("events", 5_000usize);

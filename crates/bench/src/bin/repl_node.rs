@@ -48,7 +48,20 @@ fn opts() -> DurableOptions {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[
+        "role",
+        "dir",
+        "ports",
+        "to",
+        "golden",
+        "linger",
+        "probes",
+        "check-dist",
+        "workload",
+        "n",
+        "events",
+        "batch",
+    ]);
     let role = args.raw("role").expect("--role master|replica").to_string();
     match role.as_str() {
         "master" => master(&args),

@@ -293,7 +293,21 @@ impl ServeRun {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[
+        "workload",
+        "n",
+        "events",
+        "batch",
+        "backend",
+        "clients",
+        "pipeline",
+        "readers",
+        "duration",
+        "verify",
+        "query-mix",
+        "query-seed",
+        "query-hot",
+    ]);
     let seed = args.seed(42);
     let n = args.scale_n(args.get("n", 1024usize));
     let events = args.get("events", 50_000usize);
@@ -303,7 +317,7 @@ fn main() {
     let json_path = args.json_path().unwrap_or("BENCH_serve.json");
     let mix = match args.raw("query-mix") {
         Some(spec) => QueryMix::parse(spec)
-            .unwrap_or_else(|e| BenchArgs::fail(&format!("--query-mix {spec:?}: {e}"))),
+            .unwrap_or_else(|e| args.fail(&format!("--query-mix {spec:?}: {e}"))),
         None => QueryMix::parse("dist:60,path:10,stretch:10,deg:10,comp:10").expect("default mix"),
     };
     let mut wl = QueryWorkload::new(0);

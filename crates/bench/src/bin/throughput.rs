@@ -118,14 +118,27 @@ fn profile_json(run: &BackendRun) -> Option<Json> {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
+    let args = BenchArgs::parse(&[
+        "workloads",
+        "n",
+        "events",
+        "batch",
+        "backend",
+        "compact",
+        "profile",
+        "trace-out",
+        "queries",
+        "query-mix",
+        "query-seed",
+        "query-hot",
+    ]);
     let seed = args.seed(42);
     let n = args.scale_n(args.get("n", 1024usize));
     let events = args.get("events", 50_000usize);
     let batch = args.get("batch", 256usize);
     let backend = args.get("backend", "engine".to_string());
     if !["engine", "dist", "both"].contains(&backend.as_str()) {
-        BenchArgs::fail(&format!(
+        args.fail(&format!(
             "unknown --backend {backend:?}; expected engine, dist or both"
         ));
     }

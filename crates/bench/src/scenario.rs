@@ -513,11 +513,10 @@ impl ScenarioRunner {
         }
     }
 
-    /// Replays `scenario` through `healer`, timing each ingestion batch
-    /// (observers off — the healer's unobserved fast path). Only event
-    /// application is timed — trace generation happened when the scenario
-    /// was built. Per-op telemetry is folded from the batch reports into
-    /// the result's aggregate fields.
+    /// Replays `scenario` through `healer`, timing each ingestion batch.
+    /// Only event application is timed — trace generation happened when
+    /// the scenario was built. Per-op telemetry is folded from the batch
+    /// reports into the result's aggregate fields.
     ///
     /// # Errors
     ///

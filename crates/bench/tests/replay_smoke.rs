@@ -1,8 +1,9 @@
 //! Smoke test for the `replay_trace` binary's checked-replay paths: the
 //! binary must exit **nonzero** when a replay mismatches its reference
 //! (it used to print and return success, which made it useless as a CI
-//! gate) and zero when every requested check passes. One more check
-//! drives `throughput --help`, which must answer with usage, not panic.
+//! gate) and zero when every requested check passes. Two more checks
+//! drive `throughput`: `--help` must answer with usage, not panic, and
+//! an unknown flag must be refused before any run starts.
 
 use fg_bench::replay::{format_digest_file, replay_digests, ReplayBackend};
 use fg_bench::scenario;
@@ -131,4 +132,25 @@ fn throughput_help_exits_zero_without_panicking() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("usage: throughput"), "stdout: {stdout}");
+}
+
+#[test]
+fn throughput_refuses_an_unknown_flag() {
+    let dir = std::env::temp_dir().join(format!("fg-unknown-flag-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_throughput"))
+        .args([
+            "--wal",
+            dir.to_str().unwrap(),
+            "--n",
+            "16",
+            "--events",
+            "10",
+        ])
+        .args(["--json", dir.join("t.json").to_str().unwrap()])
+        .output()
+        .expect("running throughput");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("unknown flag --wal"), "stderr: {stderr}");
+    assert!(stderr.contains("usage: throughput"), "stderr: {stderr}");
 }

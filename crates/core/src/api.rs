@@ -1,5 +1,5 @@
-//! The typed operation/outcome layer: rich per-operation reports,
-//! batch aggregation, and streaming observers.
+//! The typed operation/outcome layer: rich per-operation reports and
+//! batch aggregation.
 //!
 //! The paper's guarantees are *per-repair* quantities — the Lemma 4 cost
 //! envelopes, the ≤ 3 degree increase, the ⌈log₂ n⌉ stretch — so the
@@ -15,13 +15,6 @@
 //! * [`BatchReport`] aggregates a whole batch with the Theorem 1.3
 //!   envelope accounting, returned by [`crate::SelfHealer::apply_batch`].
 //!
-//! [`HealerObserver`] is the streaming face of the same data: callbacks
-//! fire per operation and per repaired edge, so collectors (degree
-//! trackers, cost monitors in `fg-metrics`) never need to re-traverse the
-//! graph. Every callback has a no-op default, and the engine's hot path
-//! is monomorphized over [`NoopObserver`], so instrumentation is free
-//! when unused.
-//!
 //! **Determinism note:** every field of [`RepairReport`] is a structural
 //! quantity of the repair itself (not of the machinery that ran it), so
 //! the sequential engine and the message-passing protocol produce
@@ -31,8 +24,6 @@
 
 #![deny(missing_docs)]
 
-use crate::error::EngineError;
-use crate::event::NetworkEvent;
 use fg_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
@@ -399,85 +390,6 @@ impl BatchReport {
     }
 }
 
-/// Streaming instrumentation for a self-healing network.
-///
-/// Implementations receive a callback per operation and — from healers
-/// that track edge-level changes (the engine and the distributed
-/// protocol) — per image edge unit as the repair adds or drops it, in
-/// deterministic order. All callbacks default to no-ops, and the
-/// unobserved hot path is monomorphized over [`NoopObserver`], so an
-/// unused observer costs nothing.
-///
-/// Contract:
-/// * `on_repair_edge` fires for every image edge-unit change of the
-///   *current* operation (including an insertion's adversarial
-///   attachments), before that operation's op-level callback;
-/// * `on_insert` / `on_delete` fire exactly once per successful
-///   operation, with the same report the operation returns;
-/// * `on_batch_end` fires once per observed batch, after the last
-///   operation, with the same [`BatchReport`] the batch returns;
-/// * a self-loop unit dropped by the homomorphism is reported with
-///   `u == v`;
-/// * callback totals are consistent with the reports:
-///   added/dropped edge callbacks of one operation sum to that
-///   operation's `edges_added` / `edges_dropped`.
-pub trait HealerObserver {
-    /// One insertion completed.
-    fn on_insert(&mut self, report: &InsertReport) {
-        let _ = report;
-    }
-
-    /// One deletion repair completed.
-    fn on_delete(&mut self, report: &RepairReport) {
-        let _ = report;
-    }
-
-    /// One image edge unit changed: `(u, v)` was added (`added`) or
-    /// dropped (`!added`) by the operation in progress.
-    fn on_repair_edge(&mut self, u: NodeId, v: NodeId, added: bool) {
-        let _ = (u, v, added);
-    }
-
-    /// A batch finished; `report` is what the batch call returns.
-    fn on_batch_end(&mut self, report: &BatchReport) {
-        let _ = report;
-    }
-}
-
-/// The do-nothing observer the unobserved paths monomorphize over.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopObserver;
-
-impl HealerObserver for NoopObserver {}
-
-impl<T: HealerObserver + ?Sized> HealerObserver for &mut T {
-    fn on_insert(&mut self, report: &InsertReport) {
-        (**self).on_insert(report);
-    }
-
-    fn on_delete(&mut self, report: &RepairReport) {
-        (**self).on_delete(report);
-    }
-
-    fn on_repair_edge(&mut self, u: NodeId, v: NodeId, added: bool) {
-        (**self).on_repair_edge(u, v, added);
-    }
-
-    fn on_batch_end(&mut self, report: &BatchReport) {
-        (**self).on_batch_end(report);
-    }
-}
-
-/// Wraps `source` as [`EngineError::AtEvent`] so a failing trace
-/// pinpoints the offending event.
-pub(crate) fn at_event(index: usize, event: &NetworkEvent, source: EngineError) -> EngineError {
-    EngineError::AtEvent {
-        index,
-        event: event.to_string(),
-        source: Box::new(source),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,27 +480,5 @@ mod tests {
         assert!(rep.is_repair());
         assert!(rep.repair().is_some());
         assert_eq!(rep.node(), None);
-    }
-
-    #[test]
-    fn observers_forward_through_mut_refs() {
-        #[derive(Default)]
-        struct Probe {
-            edges: usize,
-        }
-        impl HealerObserver for Probe {
-            fn on_repair_edge(&mut self, _u: NodeId, _v: NodeId, _added: bool) {
-                self.edges += 1;
-            }
-        }
-        fn fire<O: HealerObserver>(mut obs: O) {
-            obs.on_repair_edge(NodeId::new(0), NodeId::new(1), true);
-        }
-        let mut probe = Probe::default();
-        fire(&mut probe);
-        let dynamic: &mut dyn HealerObserver = &mut probe;
-        dynamic.on_repair_edge(NodeId::new(1), NodeId::new(2), false);
-        assert_eq!(probe.edges, 2);
-        fire(NoopObserver);
     }
 }

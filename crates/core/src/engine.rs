@@ -7,7 +7,7 @@
 //! with messages. Both implementations produce identical state, which the
 //! integration suite asserts.
 
-use crate::api::{HealerObserver, InsertReport, NoopObserver, RepairReport};
+use crate::api::{InsertReport, RepairReport};
 use crate::error::EngineError;
 use crate::event::NetworkEvent;
 use crate::forest::Forest;
@@ -393,18 +393,14 @@ impl ForgivingGraph {
     /// * [`EngineError::DuplicateNeighbour`] for repeats,
     /// * [`EngineError::NotAlive`] if a neighbour is dead or unknown.
     pub fn insert(&mut self, neighbors: &[NodeId]) -> Result<NodeId, EngineError> {
-        self.insert_with(neighbors, &mut NoopObserver)
-            .map(|report| report.node)
+        self.insert_report(neighbors).map(|report| report.node)
     }
 
-    /// [`ForgivingGraph::insert`] with streaming instrumentation: `obs`
-    /// receives one `on_repair_edge(v, x, true)` per attachment. The
-    /// unobserved path monomorphizes over [`NoopObserver`] and compiles
-    /// the callbacks away.
-    pub fn insert_with<O: HealerObserver + ?Sized>(
+    /// [`ForgivingGraph::insert`], reporting what was attached (the
+    /// [`crate::SelfHealer::insert`] outcome).
+    pub(crate) fn insert_report(
         &mut self,
         neighbors: &[NodeId],
-        obs: &mut O,
     ) -> Result<InsertReport, EngineError> {
         if neighbors.is_empty() {
             return Err(EngineError::EmptyNeighbourhood);
@@ -427,7 +423,6 @@ impl ForgivingGraph {
         for &x in neighbors {
             self.ghost.add_edge(v, x).expect("fresh node, fresh edges");
             self.image.inc(v, x);
-            obs.on_repair_edge(v, x, true);
         }
         self.stats.inserts += 1;
         self.stats.edges_added += neighbors.len() as u64;
@@ -452,23 +447,6 @@ impl ForgivingGraph {
     ///
     /// [`EngineError::NotAlive`] if `v` is unknown or already deleted.
     pub fn delete(&mut self, v: NodeId) -> Result<RepairReport, EngineError> {
-        self.delete_with(v, &mut NoopObserver)
-    }
-
-    /// [`ForgivingGraph::delete`] with streaming instrumentation: `obs`
-    /// receives one `on_repair_edge` per image edge unit the repair adds
-    /// or drops, in deterministic order. The unobserved path
-    /// monomorphizes over [`NoopObserver`] and compiles the callbacks
-    /// away.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::NotAlive`] if `v` is unknown or already deleted.
-    pub fn delete_with<O: HealerObserver + ?Sized>(
-        &mut self,
-        v: NodeId,
-        obs: &mut O,
-    ) -> Result<RepairReport, EngineError> {
         if !self.is_alive(v) {
             return Err(EngineError::NotAlive(v));
         }
@@ -486,7 +464,6 @@ impl ForgivingGraph {
         // Release the intact original edges (v, x).
         for &x in &alive_nbrs {
             self.image.dec(v, x);
-            obs.on_repair_edge(v, x, false);
         }
         self.stats.edges_dropped += alive_nbrs.len() as u64;
 
@@ -545,7 +522,6 @@ impl ForgivingGraph {
                 &anchors,
                 &mut fragments,
                 &mut anchor_frag,
-                obs,
             );
         }
 
@@ -596,7 +572,7 @@ impl ForgivingGraph {
         self.lap(&mut clock, Phase::Plan);
 
         // Phase 2: BT_v bottom-up merge into a single reconstruction tree.
-        let (rt, btv_rounds) = self.btv_merge(buckets, obs);
+        let (rt, btv_rounds) = self.btv_merge(buckets);
         let (rt_leaves, rt_depth) = match rt {
             Some(root) => {
                 let n = self.forest.node(root);
@@ -640,7 +616,7 @@ impl ForgivingGraph {
     /// emitted as the fragment's primary roots. Anchors encountered along
     /// the way are recorded with their fragment.
     #[allow(clippy::too_many_arguments)]
-    fn gather<O: HealerObserver + ?Sized>(
+    fn gather(
         &mut self,
         key: VKey,
         frag: usize,
@@ -649,13 +625,12 @@ impl ForgivingGraph {
         anchors: &SortedSet<VKey>,
         fragments: &mut Vec<Vec<WireTree>>,
         anchor_frag: &mut SortedMap<VKey, usize>,
-        obs: &mut O,
     ) {
         if removed.contains(&key) {
             // The victim's node: children fall into separate fragments.
             let kids: Vec<VKey> = self.forest.children(key).collect();
             for &c in &kids {
-                self.detach_edge(key, c, obs);
+                self.detach_edge(key, c);
             }
             if key.is_real() {
                 self.stats.leaves_removed += 1;
@@ -674,7 +649,6 @@ impl ForgivingGraph {
                     anchors,
                     fragments,
                     anchor_frag,
-                    obs,
                 );
             }
         } else if tainted.contains(&key) || !self.forest.node(key).is_complete() {
@@ -685,21 +659,12 @@ impl ForgivingGraph {
             }
             let kids: Vec<VKey> = self.forest.children(key).collect();
             for &c in &kids {
-                self.detach_edge(key, c, obs);
+                self.detach_edge(key, c);
             }
             self.stats.helpers_freed += 1;
             self.forest.remove_isolated(key);
             for &c in &kids {
-                self.gather(
-                    c,
-                    frag,
-                    removed,
-                    tainted,
-                    anchors,
-                    fragments,
-                    anchor_frag,
-                    obs,
-                );
+                self.gather(c, frag, removed, tainted, anchors, fragments, anchor_frag);
             }
         } else {
             // Primary root: a clean complete subtree survives wholesale.
@@ -712,16 +677,10 @@ impl ForgivingGraph {
     }
 
     /// Detaches a parent→child tree edge and releases its image unit.
-    pub(crate) fn detach_edge<O: HealerObserver + ?Sized>(
-        &mut self,
-        parent: VKey,
-        child: VKey,
-        obs: &mut O,
-    ) {
+    pub(crate) fn detach_edge(&mut self, parent: VKey, child: VKey) {
         self.forest.detach_child(parent, child);
         self.image.dec(parent.owner(), child.owner());
         self.stats.edges_dropped += 1;
-        obs.on_repair_edge(parent.owner(), child.owner(), false);
     }
 
     /// Exhaustive structural audit; used by every test layer.

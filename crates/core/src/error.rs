@@ -1,5 +1,6 @@
 //! Error types for the Forgiving Graph engine.
 
+use crate::event::NetworkEvent;
 use fg_graph::NodeId;
 use std::error::Error;
 use std::fmt;
@@ -26,6 +27,19 @@ pub enum EngineError {
         /// The underlying insert/delete error.
         source: Box<EngineError>,
     },
+}
+
+impl EngineError {
+    /// Wraps `source` as [`EngineError::AtEvent`] so a failing batch
+    /// pinpoints the offending event: its zero-based `index` and its
+    /// `Display` rendering.
+    pub fn at_event(index: usize, event: &NetworkEvent, source: EngineError) -> Self {
+        EngineError::AtEvent {
+            index,
+            event: event.to_string(),
+            source: Box::new(source),
+        }
+    }
 }
 
 impl fmt::Display for EngineError {
@@ -74,11 +88,9 @@ mod tests {
         assert!(EngineError::DuplicateNeighbour(NodeId::new(1))
             .to_string()
             .contains("more than once"));
-        let wrapped = EngineError::AtEvent {
-            index: 3,
-            event: "delete(n7)".to_string(),
-            source: Box::new(EngineError::NotAlive(NodeId::new(7))),
-        };
+        let n7 = NodeId::new(7);
+        let wrapped =
+            EngineError::at_event(3, &NetworkEvent::delete(n7), EngineError::NotAlive(n7));
         assert_eq!(
             wrapped.to_string(),
             "batch event #3 (delete(n7)) failed: node n7 is not alive"

@@ -10,11 +10,9 @@
 //!
 //! Every operation returns a typed outcome (see [`crate::api`]): inserts
 //! yield [`InsertReport`]s, deletes yield [`RepairReport`]s, and batches
-//! yield [`BatchReport`]s with aggregate envelope accounting. The
-//! `*_observed` variants additionally stream [`HealerObserver`]
-//! callbacks, so telemetry never needs to re-traverse the graph.
+//! yield [`BatchReport`]s with aggregate envelope accounting.
 
-use crate::api::{BatchReport, HealOutcome, HealerObserver, InsertReport, RepairReport};
+use crate::api::{BatchReport, HealOutcome, InsertReport, RepairReport};
 use crate::engine::{CompactionPolicy, PhaseTimes};
 use crate::error::EngineError;
 use crate::event::NetworkEvent;
@@ -111,45 +109,6 @@ pub trait SelfHealer {
         None
     }
 
-    /// [`SelfHealer::insert`] with streaming instrumentation.
-    ///
-    /// The default fires `on_insert` with the finished report; healers
-    /// that track edge-level changes (the engine, the distributed
-    /// protocol) override it to also stream `on_repair_edge` per
-    /// attachment.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SelfHealer::insert`].
-    fn insert_observed(
-        &mut self,
-        neighbors: &[NodeId],
-        obs: &mut dyn HealerObserver,
-    ) -> Result<InsertReport, EngineError> {
-        let report = self.insert(neighbors)?;
-        obs.on_insert(&report);
-        Ok(report)
-    }
-
-    /// [`SelfHealer::delete`] with streaming instrumentation.
-    ///
-    /// The default fires `on_delete` with the finished report; healers
-    /// that track edge-level changes override it to also stream
-    /// `on_repair_edge` per image edge unit the repair touches.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SelfHealer::delete`].
-    fn delete_observed(
-        &mut self,
-        v: NodeId,
-        obs: &mut dyn HealerObserver,
-    ) -> Result<RepairReport, EngineError> {
-        let report = self.delete(v)?;
-        obs.on_delete(&report);
-        Ok(report)
-    }
-
     /// Applies one adversarial event, returning its typed outcome.
     ///
     /// # Errors
@@ -169,38 +128,13 @@ pub trait SelfHealer {
         }
     }
 
-    /// [`SelfHealer::apply_event`] with streaming instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying insert/delete error.
-    fn apply_event_observed(
-        &mut self,
-        event: &NetworkEvent,
-        obs: &mut dyn HealerObserver,
-    ) -> Result<HealOutcome, EngineError> {
-        match event {
-            NetworkEvent::Insert { neighbors } => {
-                self.insert_observed(neighbors, obs)
-                    .map(|report| HealOutcome::Inserted {
-                        node: report.node,
-                        report,
-                    })
-            }
-            NetworkEvent::Delete { node } => self
-                .delete_observed(*node, obs)
-                .map(|report| HealOutcome::Repaired { report }),
-        }
-    }
-
     /// Ingests a batch of adversarial events, stopping at the first
     /// error, and returns the per-op outcomes plus aggregates.
     ///
     /// The default implementation applies events one by one; healers with
     /// cheaper bulk paths (deferred index rebuilds, amortised allocation)
     /// may override it. The `fg-bench` ScenarioRunner feeds workloads
-    /// through this entry point with observers off, so it stays on the
-    /// unobserved fast path.
+    /// through this entry point.
     ///
     /// # Errors
     ///
@@ -212,32 +146,9 @@ pub trait SelfHealer {
         for (index, event) in events.iter().enumerate() {
             let outcome = self
                 .apply_event(event)
-                .map_err(|source| crate::api::at_event(index, event, source))?;
+                .map_err(|source| EngineError::at_event(index, event, source))?;
             batch.push(outcome);
         }
-        Ok(batch)
-    }
-
-    /// [`SelfHealer::apply_batch`] with streaming instrumentation:
-    /// per-op and per-edge callbacks fire as the batch runs, and
-    /// `on_batch_end` fires with the returned report.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SelfHealer::apply_batch`].
-    fn apply_batch_observed(
-        &mut self,
-        events: &[NetworkEvent],
-        obs: &mut dyn HealerObserver,
-    ) -> Result<BatchReport, EngineError> {
-        let mut batch = BatchReport::new();
-        for (index, event) in events.iter().enumerate() {
-            let outcome = self
-                .apply_event_observed(event, obs)
-                .map_err(|source| crate::api::at_event(index, event, source))?;
-            batch.push(outcome);
-        }
-        obs.on_batch_end(&batch);
         Ok(batch)
     }
 }
@@ -248,31 +159,11 @@ impl SelfHealer for crate::ForgivingGraph {
     }
 
     fn insert(&mut self, neighbors: &[NodeId]) -> Result<InsertReport, EngineError> {
-        self.insert_with(neighbors, &mut crate::api::NoopObserver)
+        self.insert_report(neighbors)
     }
 
     fn delete(&mut self, v: NodeId) -> Result<RepairReport, EngineError> {
         crate::ForgivingGraph::delete(self, v)
-    }
-
-    fn insert_observed(
-        &mut self,
-        neighbors: &[NodeId],
-        obs: &mut dyn HealerObserver,
-    ) -> Result<InsertReport, EngineError> {
-        let report = self.insert_with(neighbors, obs)?;
-        obs.on_insert(&report);
-        Ok(report)
-    }
-
-    fn delete_observed(
-        &mut self,
-        v: NodeId,
-        obs: &mut dyn HealerObserver,
-    ) -> Result<RepairReport, EngineError> {
-        let report = self.delete_with(v, obs)?;
-        obs.on_delete(&report);
-        Ok(report)
     }
 
     fn image(&self) -> &Graph {
@@ -361,52 +252,5 @@ mod tests {
         }
         // The insert before the failure stayed applied.
         assert_eq!(fg.ghost().node_count(), 8);
-    }
-
-    #[test]
-    fn observed_batch_streams_consistent_callbacks() {
-        #[derive(Default)]
-        struct Probe {
-            inserts: usize,
-            deletes: usize,
-            added: u64,
-            dropped: u64,
-            batch_ends: usize,
-        }
-        impl HealerObserver for Probe {
-            fn on_insert(&mut self, _report: &InsertReport) {
-                self.inserts += 1;
-            }
-            fn on_delete(&mut self, _report: &RepairReport) {
-                self.deletes += 1;
-            }
-            fn on_repair_edge(&mut self, _u: NodeId, _v: NodeId, added: bool) {
-                if added {
-                    self.added += 1;
-                } else {
-                    self.dropped += 1;
-                }
-            }
-            fn on_batch_end(&mut self, _report: &BatchReport) {
-                self.batch_ends += 1;
-            }
-        }
-
-        let mut fg = ForgivingGraph::from_graph(&generators::star(8)).unwrap();
-        let mut probe = Probe::default();
-        let batch = fg
-            .apply_batch_observed(
-                &[
-                    NetworkEvent::insert([NodeId::new(1), NodeId::new(2)]),
-                    NetworkEvent::delete(NodeId::new(0)),
-                ],
-                &mut probe,
-            )
-            .unwrap();
-        assert_eq!(probe.inserts, 1);
-        assert_eq!(probe.deletes, 1);
-        assert_eq!(probe.batch_ends, 1);
-        assert_eq!(probe.added, batch.edges_added);
-        assert_eq!(probe.dropped, batch.edges_dropped);
     }
 }

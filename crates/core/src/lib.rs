@@ -53,10 +53,7 @@ mod snapshot;
 mod stats;
 pub mod view;
 
-pub use api::{
-    BatchReport, HealOutcome, HealerObserver, InsertReport, NoopObserver, RepairReport,
-    ReportDigest,
-};
+pub use api::{BatchReport, HealOutcome, InsertReport, RepairReport, ReportDigest};
 pub use engine::{CompactionPolicy, ForgivingGraph, PhaseTimes, PlacementPolicy};
 pub use error::EngineError;
 pub use event::NetworkEvent;

@@ -11,7 +11,6 @@
 //! blueprint itself is the pure [`crate::plan`] computation, shared with
 //! the distributed protocol.
 
-use crate::api::HealerObserver;
 use crate::engine::ForgivingGraph;
 use crate::plan::{plan_compute_haft, WireTree};
 use crate::slot::VKey;
@@ -20,51 +19,42 @@ impl ForgivingGraph {
     /// Merges the anchor buckets through the balanced tree `BT_v`;
     /// returns the final reconstruction-tree root (if any tree at all
     /// participated) and the number of bottom-up rounds (`BT_v`'s height).
-    pub(crate) fn btv_merge<O: HealerObserver + ?Sized>(
-        &mut self,
-        buckets: Vec<Vec<WireTree>>,
-        obs: &mut O,
-    ) -> (Option<VKey>, u32) {
+    pub(crate) fn btv_merge(&mut self, buckets: Vec<Vec<WireTree>>) -> (Option<VKey>, u32) {
         let count = buckets.len();
         if count == 0 {
             return (None, 0);
         }
         let rounds = usize::BITS - 1 - count.leading_zeros();
         let mut buckets: Vec<Option<Vec<WireTree>>> = buckets.into_iter().map(Some).collect();
-        let root = self.btv_node_merge(&mut buckets, 0, obs);
+        let root = self.btv_node_merge(&mut buckets, 0);
         (root, rounds)
     }
 
     /// Merges `BT_v` node `i`: its own bucket plus its children's merged
     /// and restripped hafts (Algorithm A.4 / `Haft_Merge`). Empty groups
     /// (all-red fragments) dissolve to `None`.
-    fn btv_node_merge<O: HealerObserver + ?Sized>(
+    fn btv_node_merge(
         &mut self,
         buckets: &mut Vec<Option<Vec<WireTree>>>,
         i: usize,
-        obs: &mut O,
     ) -> Option<VKey> {
         let mut trees = buckets[i].take().expect("each BT_v node merges once");
         for child in [2 * i + 1, 2 * i + 2] {
             if child < buckets.len() {
-                if let Some(sub) = self.btv_node_merge(buckets, child, obs) {
-                    trees.extend(self.strip_root(sub, obs));
+                if let Some(sub) = self.btv_node_merge(buckets, child) {
+                    trees.extend(self.strip_root(sub));
                 }
             }
         }
         if trees.is_empty() {
             return None;
         }
-        Some(self.compute_haft(trees, obs))
+        Some(self.compute_haft(trees))
     }
 
     /// Strip (§4.1.1): frees the spine connectors of the haft rooted at
     /// `root` and returns its complete trees, ready to merge again.
-    pub(crate) fn strip_root<O: HealerObserver + ?Sized>(
-        &mut self,
-        root: VKey,
-        obs: &mut O,
-    ) -> Vec<WireTree> {
+    fn strip_root(&mut self, root: VKey) -> Vec<WireTree> {
         // Walk the right spine collecting parts, then free the spine
         // *before* computing representatives: an emitted tree's free leaf
         // may be exactly the one a spine connector was occupying.
@@ -81,8 +71,8 @@ impl ForgivingGraph {
                 node.left.expect("spine nodes are internal"),
                 node.right.expect("spine nodes are internal"),
             );
-            self.detach_edge(cur, left, obs);
-            self.detach_edge(cur, right, obs);
+            self.detach_edge(cur, left);
+            self.detach_edge(cur, right);
             spine.push(cur);
             parts.push(left);
             cur = right;
@@ -116,11 +106,7 @@ impl ForgivingGraph {
     /// Executes `ComputeHaft` over a non-empty forest: plans with the
     /// shared pure planner, then applies every join to the forest and the
     /// image. Returns the new root.
-    pub(crate) fn compute_haft<O: HealerObserver + ?Sized>(
-        &mut self,
-        trees: Vec<WireTree>,
-        obs: &mut O,
-    ) -> VKey {
+    fn compute_haft(&mut self, trees: Vec<WireTree>) -> VKey {
         let plan = plan_compute_haft(trees, self.policy);
         for step in &plan.joins {
             let key = self
@@ -130,8 +116,6 @@ impl ForgivingGraph {
             self.image.inc(step.slot.owner, step.right.owner());
             self.stats.helpers_created += 1;
             self.stats.edges_added += 2;
-            obs.on_repair_edge(step.slot.owner, step.left.owner(), true);
-            obs.on_repair_edge(step.slot.owner, step.right.owner(), true);
             debug_assert_eq!(key, step.slot.helper());
         }
         plan.output.root

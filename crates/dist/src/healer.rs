@@ -4,15 +4,12 @@
 //! [`crate::Network`] is the raw protocol machine — actors, rounds,
 //! Lemma 4 cost accounting. `DistHealer` adapts it to the typed
 //! operation/outcome API of `fg_core::api`, so the adversary driver, the
-//! ScenarioRunner, the metrics collectors and the differential suite can
-//! drive the distributed protocol exactly the way they drive the
-//! sequential engine and every baseline — and receive the *same*
-//! structural [`fg_core::RepairReport`]s, bit for bit.
+//! ScenarioRunner and the differential suite can drive the distributed
+//! protocol exactly the way they drive the sequential engine and every
+//! baseline — and receive the *same* structural
+//! [`fg_core::RepairReport`]s, bit for bit.
 
-use fg_core::{
-    EngineError, HealerObserver, InsertReport, NoopObserver, PlacementPolicy, RepairReport,
-    SelfHealer,
-};
+use fg_core::{EngineError, InsertReport, PlacementPolicy, RepairReport, SelfHealer};
 use fg_graph::{Graph, NodeId};
 
 use crate::cost::RepairCost;
@@ -79,31 +76,11 @@ impl SelfHealer for DistHealer {
     }
 
     fn insert(&mut self, neighbors: &[NodeId]) -> Result<InsertReport, EngineError> {
-        self.net.insert_with(neighbors, &mut NoopObserver)
+        self.net.insert_report(neighbors)
     }
 
     fn delete(&mut self, v: NodeId) -> Result<RepairReport, EngineError> {
-        self.net.delete_with(v, &mut NoopObserver)
-    }
-
-    fn insert_observed(
-        &mut self,
-        neighbors: &[NodeId],
-        obs: &mut dyn HealerObserver,
-    ) -> Result<InsertReport, EngineError> {
-        let report = self.net.insert_with(neighbors, obs)?;
-        obs.on_insert(&report);
-        Ok(report)
-    }
-
-    fn delete_observed(
-        &mut self,
-        v: NodeId,
-        obs: &mut dyn HealerObserver,
-    ) -> Result<RepairReport, EngineError> {
-        let report = self.net.delete_with(v, obs)?;
-        obs.on_delete(&report);
-        Ok(report)
+        self.net.delete_report(v).map(|(report, _)| report)
     }
 
     fn image(&self) -> &Graph {

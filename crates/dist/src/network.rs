@@ -8,10 +8,7 @@
 //! processors the repair has touched, so a repair costs the order of its
 //! messages, not of the network.
 
-use fg_core::{
-    EngineError, HealerObserver, ImageGraph, InsertReport, NoopObserver, PlacementPolicy,
-    RepairReport, Slot, VKey,
-};
+use fg_core::{EngineError, ImageGraph, InsertReport, PlacementPolicy, RepairReport, Slot, VKey};
 use fg_graph::{Graph, NodeId, SortedMap, SortedSet};
 
 use crate::cost::{ceil_log2, RepairCost};
@@ -177,21 +174,14 @@ impl Network {
     /// Mirrors the engine: [`EngineError::EmptyNeighbourhood`],
     /// [`EngineError::DuplicateNeighbour`], [`EngineError::NotAlive`].
     pub fn insert(&mut self, neighbors: &[NodeId]) -> Result<NodeId, EngineError> {
-        self.insert_with(neighbors, &mut NoopObserver)
-            .map(|report| report.node)
+        self.insert_report(neighbors).map(|report| report.node)
     }
 
-    /// [`Network::insert`] with streaming instrumentation: `obs` receives
-    /// one `on_repair_edge(v, x, true)` per attachment, and the returned
-    /// [`InsertReport`] is identical to the sequential engine's.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::insert`].
-    pub fn insert_with(
+    /// [`Network::insert`], returning the [`InsertReport`] — identical to
+    /// the sequential engine's.
+    pub(crate) fn insert_report(
         &mut self,
         neighbors: &[NodeId],
-        obs: &mut dyn HealerObserver,
     ) -> Result<InsertReport, EngineError> {
         if neighbors.is_empty() {
             return Err(EngineError::EmptyNeighbourhood);
@@ -213,7 +203,6 @@ impl Network {
         for &x in neighbors {
             self.ghost.add_edge(v, x).expect("fresh node, fresh edges");
             self.image.inc(v, x);
-            obs.on_repair_edge(v, x, true);
         }
         Ok(InsertReport {
             node: v,
@@ -237,35 +226,19 @@ impl Network {
     ///
     /// [`EngineError::NotAlive`] if `v` is unknown or already deleted.
     pub fn delete(&mut self, v: NodeId) -> Result<RepairCost, EngineError> {
-        self.delete_inner(v, &mut NoopObserver)
-            .map(|(_, cost)| cost)
+        self.delete_report(v).map(|(_, cost)| cost)
     }
 
-    /// [`Network::delete`] returning the structural [`RepairReport`]
-    /// instead of the Lemma 4 [`RepairCost`] (which is still pushed onto
-    /// [`Network::repair_costs`]), with streaming instrumentation: `obs`
-    /// receives one `on_repair_edge` per image edge unit the protocol
-    /// adds or drops.
+    /// [`Network::delete`], returning the structural [`RepairReport`]
+    /// beside the Lemma 4 [`RepairCost`] (which is also pushed onto
+    /// [`Network::repair_costs`]).
     ///
     /// Every report field is a structural quantity of the repair, so this
     /// report is bit-identical to the sequential engine's for the same
     /// event on the same state — the differential suite asserts it.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::NotAlive`] if `v` is unknown or already deleted.
-    pub fn delete_with(
+    pub(crate) fn delete_report(
         &mut self,
         v: NodeId,
-        obs: &mut dyn HealerObserver,
-    ) -> Result<RepairReport, EngineError> {
-        self.delete_inner(v, obs).map(|(report, _)| report)
-    }
-
-    fn delete_inner(
-        &mut self,
-        v: NodeId,
-        obs: &mut dyn HealerObserver,
     ) -> Result<(RepairReport, RepairCost), EngineError> {
         if !self.is_alive(v) {
             return Err(EngineError::NotAlive(v));
@@ -313,7 +286,6 @@ impl Network {
         let mut ctx = Ctx {
             outbox: Vec::new(),
             image: &mut self.image,
-            obs,
             tally: RepairTally::default(),
             btv_root: None,
         };
@@ -641,7 +613,7 @@ mod tests {
         let mut net = Network::from_graph(&g, PlacementPolicy::Adjacent);
         let mut fg = ForgivingGraph::from_graph(&g).unwrap();
         for i in [0u32, 4, 9, 2, 13] {
-            let dist_report = net.delete_with(n(i), &mut fg_core::NoopObserver).unwrap();
+            let (dist_report, _) = net.delete_report(n(i)).unwrap();
             let engine_report = fg.delete(n(i)).unwrap();
             assert_eq!(dist_report, engine_report, "reports diverged at n{i}");
         }

@@ -8,7 +8,7 @@
 //! replicated to its image neighbours while alive).
 
 use fg_core::plan::{plan_compute_haft, WireTree};
-use fg_core::{HealerObserver, ImageGraph, PlacementPolicy, Slot, VKey};
+use fg_core::{ImageGraph, PlacementPolicy, Slot, VKey};
 use fg_graph::{NodeId, SortedMap, SortedSet};
 
 use crate::message::{Message, Payload, Target};
@@ -92,16 +92,15 @@ impl Shared {
 }
 
 /// The environment every handler of one repair runs in: the outbox of
-/// the round in progress, the globally materialized image and observer,
-/// and the repair's structural tally and `BT_v` root slot.
+/// the round in progress, the globally materialized image, and the
+/// repair's structural tally and `BT_v` root slot.
 ///
 /// Handlers run one at a time in canonical order (DESIGN.md §9), so they
-/// apply image edge units and observer callbacks directly, in exactly the
-/// order the protocol produces them.
+/// apply image edge units directly, in exactly the order the protocol
+/// produces them.
 pub(crate) struct Ctx<'a> {
     pub outbox: Vec<Message>,
     pub image: &'a mut ImageGraph,
-    pub obs: &'a mut dyn HealerObserver,
     pub tally: RepairTally,
     /// The `BT_v` root position's output: the repaired reconstruction tree.
     pub btv_root: Option<WireTree>,
@@ -112,14 +111,12 @@ impl Ctx<'_> {
     fn edge_add(&mut self, u: NodeId, v: NodeId) {
         self.image.inc(u, v);
         self.tally.edges_added += 1;
-        self.obs.on_repair_edge(u, v, true);
     }
 
     /// Drops one image edge unit.
     pub(crate) fn edge_drop(&mut self, u: NodeId, v: NodeId) {
         self.image.dec(u, v);
         self.tally.edges_dropped += 1;
-        self.obs.on_repair_edge(u, v, false);
     }
 }
 

@@ -148,8 +148,14 @@ pub fn analyze_source(rel_path: &str, source: &str) -> Report {
 
     // Crate-root hygiene: #![forbid(unsafe_code)] is non-negotiable and
     // cannot be suppressed away (a suppression would defeat the point),
-    // but flows through the same shield machinery for uniformity.
-    if is_crate_root(rel_path) && !source.contains("#![forbid(unsafe_code)]") {
+    // but flows through the same shield machinery for uniformity. Only a
+    // code line that begins with the attribute counts: a commented-out
+    // pledge, a doc mention or a string literal is not one.
+    let pledged = lexed
+        .lines
+        .iter()
+        .any(|line| line.code.starts_with("#![forbid(unsafe_code)]"));
+    if is_crate_root(rel_path) && !pledged {
         raw_findings.push(Finding {
             rule: FORBID_UNSAFE,
             path: rel_path.to_string(),

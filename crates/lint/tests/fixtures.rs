@@ -210,6 +210,17 @@ fn forbid_unsafe_accepts_a_pledged_crate_root() {
 }
 
 #[test]
+fn forbid_unsafe_ignores_a_pledge_in_comments_or_strings() {
+    // A commented-out attribute, a doc line quoting it and a string
+    // literal whose line begins with it are not the attribute.
+    let report = analyze_source(
+        "crates/toy/src/lib.rs",
+        fixture!("forbid_unsafe_commented_violation.rs"),
+    );
+    assert_eq!(firing_lines(&report), vec![(rules::FORBID_UNSAFE, 1)]);
+}
+
+#[test]
 fn forbid_unsafe_cannot_be_suppressed() {
     let source = format!(
         "// fg-lint: allow(forbid-unsafe): trying to dodge the pledge\n{}",

@@ -10,11 +10,8 @@
 //! 3. **Repair cost** — [`cost_stats`] over the engine's repair reports
 //!    (Theorem 1.3: `O(d log n)` work),
 //!
-//! plus [`measure`] for one-call health summaries, [`Table`] for the
-//! markdown/CSV tables that EXPERIMENTS.md embeds, and the *streaming*
-//! collectors ([`StreamingDegree`], [`StreamingCost`],
-//! [`ObserverCounts`]) that maintain the same quantities from
-//! `fg_core::HealerObserver` callbacks instead of snapshot re-traversal.
+//! plus [`measure`] for one-call health summaries and [`Table`] for the
+//! markdown/CSV tables that EXPERIMENTS.md embeds.
 //!
 //! ## Example
 //!
@@ -35,14 +32,12 @@
 
 mod degree;
 mod repair;
-mod streaming;
 mod stretch;
 mod summary;
 mod table;
 
 pub use degree::{degree_stats, ratio_histogram, DegreeStats};
 pub use repair::{cost_stats, CostStats};
-pub use streaming::{ObserverCounts, StreamingCost, StreamingDegree};
 pub use stretch::{
     stretch_auto, stretch_exact, stretch_from_sources, stretch_sampled, StretchStats,
 };

@@ -39,8 +39,8 @@ use crate::snapstore::{
 };
 use crate::wal::{scan_wal, WalRecord, WalWriter, FLAG_COMMIT};
 use fg_core::{
-    BatchReport, EngineError, ForgivingGraph, HealOutcome, HealerObserver, InsertReport,
-    NetworkEvent, RepairReport, ReportDigest, SelfHealer,
+    BatchReport, EngineError, ForgivingGraph, HealOutcome, InsertReport, NetworkEvent,
+    RepairReport, ReportDigest, SelfHealer,
 };
 use fg_graph::{Graph, NodeId};
 use std::io;
@@ -520,29 +520,6 @@ impl<H: Persistable> SelfHealer for DurableHealer<H> {
         Ok(report)
     }
 
-    fn insert_observed(
-        &mut self,
-        neighbors: &[NodeId],
-        obs: &mut dyn HealerObserver,
-    ) -> Result<InsertReport, EngineError> {
-        let report = self.inner.insert_observed(neighbors, obs)?;
-        self.log_one(
-            NetworkEvent::insert(neighbors.iter().copied()),
-            report.digest(),
-        );
-        Ok(report)
-    }
-
-    fn delete_observed(
-        &mut self,
-        v: NodeId,
-        obs: &mut dyn HealerObserver,
-    ) -> Result<RepairReport, EngineError> {
-        let report = self.inner.delete_observed(v, obs)?;
-        self.log_one(NetworkEvent::delete(v), report.digest());
-        Ok(report)
-    }
-
     fn image(&self) -> &Graph {
         self.inner.image()
     }
@@ -584,45 +561,12 @@ impl<H: Persistable> SelfHealer for DurableHealer<H> {
                     // "Earlier events stay applied" — so the applied
                     // prefix must also be durable before we report.
                     self.log_batch(records);
-                    return Err(EngineError::AtEvent {
-                        index,
-                        event: event.to_string(),
-                        source: Box::new(source),
-                    });
+                    return Err(EngineError::at_event(index, event, source));
                 }
             }
         }
         self.log_batch(records);
         self.auto_checkpoint();
-        Ok(batch)
-    }
-
-    fn apply_batch_observed(
-        &mut self,
-        events: &[NetworkEvent],
-        obs: &mut dyn HealerObserver,
-    ) -> Result<BatchReport, EngineError> {
-        let mut batch = BatchReport::new();
-        let mut records = Vec::with_capacity(events.len());
-        for (index, event) in events.iter().enumerate() {
-            match self.inner.apply_event_observed(event, obs) {
-                Ok(outcome) => {
-                    records.push(self.batch_record(event, outcome.digest()));
-                    batch.push(outcome);
-                }
-                Err(source) => {
-                    self.log_batch(records);
-                    return Err(EngineError::AtEvent {
-                        index,
-                        event: event.to_string(),
-                        source: Box::new(source),
-                    });
-                }
-            }
-        }
-        self.log_batch(records);
-        self.auto_checkpoint();
-        obs.on_batch_end(&batch);
         Ok(batch)
     }
 }

@@ -64,12 +64,11 @@ pub mod prelude {
     };
     pub use fg_core::{
         stretch_ratio, BatchReport, EngineError, ForgivingGraph, GraphView, HealOutcome,
-        HealerObserver, InsertReport, NetworkEvent, NoopObserver, PlacementPolicy, QueryOps,
-        RepairReport, SelfHealer, View,
+        InsertReport, NetworkEvent, PlacementPolicy, QueryOps, RepairReport, SelfHealer, View,
     };
     pub use fg_dist::{DistHealer, Network, RepairCost};
     pub use fg_graph::{Graph, NodeId};
-    pub use fg_metrics::{measure, ObserverCounts, StreamingCost, StreamingDegree};
+    pub use fg_metrics::measure;
     pub use fg_serve::{
         spawn_writer, Client, Publisher, ReplicaNode, Server, ServerConfig, SnapshotHub,
     };

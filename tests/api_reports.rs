@@ -3,9 +3,6 @@
 //! * **batch ≡ replay** — the per-op `RepairReport`s inside a
 //!   `BatchReport` are exactly what a one-by-one replay of the same
 //!   events produces, and the aggregates are their sum;
-//! * **observer ≡ report** — streaming callback totals equal the report
-//!   aggregates, for the engine, the distributed protocol, and the
-//!   baselines;
 //! * **errors are pinpointed** — a failing batch names the exact index
 //!   (and pretty-prints the event) of the first illegal operation, with
 //!   everything before it applied.
@@ -85,33 +82,6 @@ proptest! {
         let mut dist = DistHealer::from_graph(&g, PlacementPolicy::Adjacent);
         let dist_batch = dist.apply_batch(&events).unwrap();
         prop_assert_eq!(&batch, &dist_batch, "engine vs protocol batch reports");
-    }
-
-    /// Observer callback totals match the batch report, for every healer
-    /// behind the façade (the engine and protocol additionally stream
-    /// per-edge callbacks; the baselines fire op-level ones).
-    #[test]
-    fn observer_counts_match_report_totals(
-        seed in 0u64..64,
-        bytes in prop::collection::vec(any::<u8>(), 1..24),
-    ) {
-        let (g, events) = legal_schedule(seed, &bytes);
-        let mut engine = ForgivingGraph::from_graph(&g).unwrap();
-        let mut dist = DistHealer::from_graph(&g, PlacementPolicy::Adjacent);
-        let mut ring = CycleHealer::from_graph(&g);
-        let healers: [&mut dyn SelfHealer; 3] = [&mut engine, &mut dist, &mut ring];
-        for healer in healers {
-            let mut counts = ObserverCounts::new();
-            let batch = healer.apply_batch_observed(&events, &mut counts).unwrap();
-            prop_assert_eq!(counts.inserts, batch.inserts, "{}", healer.name());
-            prop_assert_eq!(counts.deletes, batch.deletes, "{}", healer.name());
-            prop_assert_eq!(counts.batches, 1u64, "{}", healer.name());
-            if healer.name() != "cycle-heal" {
-                // Edge-level streaming: totals must reconcile exactly.
-                prop_assert_eq!(counts.edges_added, batch.edges_added, "{}", healer.name());
-                prop_assert_eq!(counts.edges_dropped, batch.edges_dropped, "{}", healer.name());
-            }
-        }
     }
 
     /// A batch that fails mid-way reports the exact failing index, keeps

@@ -11,8 +11,7 @@
 //! Traces are generated by the adversary library (random failure, targeted
 //! hub attack, membership churn) over seeded workloads — well over 100
 //! distinct recorded traces in total — then replayed event-by-event
-//! through both implementations in lockstep, with streaming observers
-//! attached whose callback totals must match the report aggregates.
+//! through both implementations in lockstep.
 
 use forgiving_graph::adversary::{
     run_attack, Adversary, ChurnAdversary, MaxDegreeDeleter, RandomDeleter,
@@ -20,7 +19,6 @@ use forgiving_graph::adversary::{
 use forgiving_graph::core::{BatchReport, ForgivingGraph, PlacementPolicy, SelfHealer, Slot, VKey};
 use forgiving_graph::dist::DistHealer;
 use forgiving_graph::graph::generators;
-use forgiving_graph::metrics::ObserverCounts;
 
 type ForestRow = (
     VKey,
@@ -42,8 +40,8 @@ fn engine_forest(fg: &ForgivingGraph) -> Vec<ForestRow> {
 /// Records a trace by running `adversary` against a scratch engine, then
 /// replays it through a fresh engine and a fresh distributed healer —
 /// both behind `&mut dyn SelfHealer` — asserting full state equality
-/// *and* typed-outcome equality after every event, plus observer/report
-/// consistency at the end. Returns the number of events checked.
+/// *and* typed-outcome equality after every event, plus batch-aggregate
+/// equality at the end. Returns the number of events checked.
 fn lockstep_replay(
     label: &str,
     g: &forgiving_graph::graph::Graph,
@@ -55,8 +53,6 @@ fn lockstep_replay(
 
     let mut fg = ForgivingGraph::from_graph_with_policy(g, policy).unwrap();
     let mut dist = DistHealer::from_graph(g, policy);
-    let mut fg_counts = ObserverCounts::new();
-    let mut dist_counts = ObserverCounts::new();
     let mut fg_batch = BatchReport::new();
     let mut dist_batch = BatchReport::new();
     for (step, event) in log.events.iter().enumerate() {
@@ -64,10 +60,8 @@ fn lockstep_replay(
             let engine: &mut dyn SelfHealer = &mut fg;
             let protocol: &mut dyn SelfHealer = &mut dist;
             (
-                protocol
-                    .apply_event_observed(event, &mut dist_counts)
-                    .unwrap(),
-                engine.apply_event_observed(event, &mut fg_counts).unwrap(),
+                protocol.apply_event(event).unwrap(),
+                engine.apply_event(event).unwrap(),
             )
         };
         assert_eq!(
@@ -94,29 +88,6 @@ fn lockstep_replay(
     }
     fg.check_invariants().unwrap();
 
-    // Observer callback totals must match the report aggregates, for both
-    // implementations — the streaming contract of `fg_core::api`.
-    for (who, counts, batch) in [
-        ("engine", fg_counts, &fg_batch),
-        ("dist", dist_counts, &dist_batch),
-    ] {
-        assert_eq!(
-            counts.inserts, batch.inserts,
-            "{label}/{who}: on_insert count vs report total"
-        );
-        assert_eq!(
-            counts.deletes, batch.deletes,
-            "{label}/{who}: on_delete count vs report total"
-        );
-        assert_eq!(
-            counts.edges_added, batch.edges_added,
-            "{label}/{who}: added-edge callbacks vs report total"
-        );
-        assert_eq!(
-            counts.edges_dropped, batch.edges_dropped,
-            "{label}/{who}: dropped-edge callbacks vs report total"
-        );
-    }
     assert_eq!(fg_batch, dist_batch, "{label}: batch aggregates diverged");
 
     log.events.len()
