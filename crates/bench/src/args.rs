@@ -6,19 +6,22 @@
 //! * `--seed <u64>` — base RNG seed for workloads and adversaries;
 //! * `--scale <f64>` — multiplies every size sweep (e.g. `--scale 4`
 //!   turns the 64/256/1024 sweep into 256/1024/4096);
-//! * `--json <path>` — additionally write the result tables as JSON;
+//! * `--json <path>` — additionally write the result tables as JSON
+//!   (a bare file name lands in the current directory);
 //! * the binary's own `--name value` flags, which it names when it
 //!   parses ([`BenchArgs::parse`]) and reads via [`BenchArgs::get`].
 //!
 //! Parsing is deliberately minimal (no external crates): flags are
 //! `--name value` pairs in any order. `--help` (or `-h`) prints a usage
 //! line listing the accepted flags and exits 0. Input errors never
-//! panic: a malformed argument list, an unknown flag or an unparsable
-//! value prints the error and the usage line to stderr and exits with
-//! status 2 ([`BenchArgs::fail`]).
+//! panic: a malformed argument list, an unknown flag, a missing required
+//! flag, an unparsable value or a `--json` path in a directory that does
+//! not exist prints the error and the usage line to stderr and exits
+//! with status 2 ([`BenchArgs::fail`]), before the run starts.
 
 use crate::json::Json;
 use fg_metrics::Table;
+use std::path::Path;
 use std::str::FromStr;
 
 /// The flags every binary accepts (see the module docs).
@@ -54,7 +57,8 @@ impl BenchArgs {
     ///
     /// A message naming the offending argument when the list is not a
     /// run of `--name value` pairs (a positional argument, or a flag
-    /// without a value), or names a flag the binary does not accept.
+    /// without a value), names a flag the binary does not accept, or
+    /// gives a `--json` path whose directory does not exist.
     pub fn parse_from<I, S>(args: I, own: &[&str]) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
@@ -75,6 +79,18 @@ impl BenchArgs {
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
             parsed.flags.push((name, value));
         }
+        if let Some(path) = parsed.json_path() {
+            let dir = Path::new(path)
+                .parent()
+                .filter(|dir| !dir.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            if !dir.is_dir() {
+                return Err(format!(
+                    "--json {path:?}: directory {} does not exist",
+                    dir.display()
+                ));
+            }
+        }
         Ok(parsed)
     }
 
@@ -93,6 +109,13 @@ impl BenchArgs {
         eprintln!("error: {msg}");
         eprintln!("{}", usage(&self.accepted));
         std::process::exit(2)
+    }
+
+    /// The raw value of `--name`; its absence is an input error
+    /// ([`BenchArgs::fail`]).
+    pub fn required(&self, name: &str) -> &str {
+        self.raw(name)
+            .unwrap_or_else(|| self.fail(&format!("--{name} is required")))
     }
 
     /// The raw value of `--name`, if given (last occurrence wins).
@@ -175,18 +198,27 @@ impl BenchArgs {
 
     /// Prints every table as markdown and, when `--json` was given, writes
     /// them all to that path as a JSON array of
-    /// `{title, headers, rows}` objects.
+    /// `{title, headers, rows}` objects ([`write_artifact`]).
     pub fn emit(&self, tables: &[&Table]) {
         for table in tables {
             println!("{}", table.to_markdown());
         }
         if let Some(path) = self.json_path() {
             let doc = Json::Arr(tables.iter().map(|t| table_json(t)).collect());
-            std::fs::write(path, doc.pretty())
-                .unwrap_or_else(|e| panic!("writing --json {path:?}: {e}"));
-            eprintln!("wrote {path}");
+            write_artifact(path, &doc);
         }
     }
+}
+
+/// Writes `doc` to `path` as pretty JSON. A failed write prints the
+/// error and exits with status 1: a run whose artifact was lost must not
+/// look like a success.
+pub fn write_artifact(path: &str, doc: &Json) {
+    if let Err(e) = std::fs::write(path, doc.pretty()) {
+        eprintln!("error: writing {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
 }
 
 /// The usage line printed for `--help` and after every input error.

@@ -4,9 +4,11 @@
 //! digest stream matches the golden record exactly** — the CI gate that
 //! recovery reaches the same state a crash-free run would have.
 //!
-//! Usage: `recover_trace <trace-file> [flags]`
+//! Usage: `recover_trace --trace <file> [flags]`
 //!
 //! Flags:
+//! * `--trace <file>` — the scenario trace to replay (required; written
+//!   by `throughput --trace-out`, or one of `tests/golden/*.trace`).
 //! * `--store <dir>` — store directory (default: a fresh temp dir;
 //!   always recreated).
 //! * `--checkpoint-every <k>` — checkpoint cadence while building
@@ -25,85 +27,58 @@
 //! * `--json <path>` — also write the recovery-time artifact to a file
 //!   (the same JSON always prints to stdout as one line).
 //!
-//! Unknown flags are an error (a misspelled gate must not pass
-//! vacuously). Exit status: 0 = recovered and certified, 1 = recovery
-//! refused or store construction failed, 2 = digest drift against the
-//! golden record.
+//! Flags parse through [`BenchArgs`], so an unknown flag is an input
+//! error (a misspelled gate must not pass vacuously). Exit status:
+//! 0 = recovered and certified, 1 = recovery refused or store
+//! construction failed, 2 = bad input (usage on stderr), 3 = digest
+//! drift against the golden record.
 
 use fg_bench::json::Json;
-use fg_bench::replay::parse_digest_file;
-use fg_bench::Scenario;
+use fg_bench::replay::{first_digest_drift, parse_digest_file};
+use fg_bench::{write_artifact, BenchArgs, Scenario};
 use fg_core::{ForgivingGraph, SelfHealer};
 use fg_store::{DurableHealer, DurableOptions};
 use std::time::Instant;
 
+/// Exit status for a digest stream that drifted from its reference.
+const DRIFT: i32 = 3;
+
 fn main() {
-    let mut positional: Vec<String> = Vec::new();
-    let mut flags: Vec<(String, String)> = Vec::new();
-    const KNOWN: &[&str] = &[
+    let args = BenchArgs::parse(&[
+        "trace",
         "store",
         "checkpoint-every",
         "sync-every",
         "inject",
         "inject-at",
         "expect-digest",
-        "json",
-    ];
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        if let Some(name) = arg.strip_prefix("--") {
-            assert!(
-                KNOWN.contains(&name),
-                "unknown flag --{name}; known: {KNOWN:?}"
-            );
-            let value = iter
-                .next()
-                .unwrap_or_else(|| panic!("flag --{name} needs a value"));
-            flags.push((name.to_string(), value));
-        } else {
-            positional.push(arg);
-        }
-    }
-    let flag = |name: &str| {
-        flags
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    };
-    let path = positional
-        .first()
-        .cloned()
-        .expect("usage: recover_trace <trace-file> [--inject truncate] [--expect-digest f]");
-    let store_dir = flag("store").map_or_else(
+    ]);
+    let path = args.required("trace");
+    let store_dir = args.raw("store").map_or_else(
         || std::env::temp_dir().join(format!("fg-recover-{}", std::process::id())),
         std::path::PathBuf::from,
     );
-    let checkpoint_every: u64 = flag("checkpoint-every")
-        .map_or(0, |v| v.parse().expect("--checkpoint-every takes a count"));
-    let sync_every: usize =
-        flag("sync-every").map_or(64, |v| v.parse().expect("--sync-every takes a count"));
-    let inject = flag("inject").unwrap_or("none");
-    assert!(
-        ["none", "truncate", "bitflip"].contains(&inject),
-        "--inject supports exactly: none, truncate, bitflip"
-    );
+    let checkpoint_every: u64 = args.get("checkpoint-every", 0);
+    let sync_every: usize = args.get("sync-every", 64);
+    let inject = args.raw("inject").unwrap_or("none");
+    if !["none", "truncate", "bitflip"].contains(&inject) {
+        args.fail(&format!(
+            "--inject {inject:?} is not one of none, truncate, bitflip"
+        ));
+    }
     let opts = DurableOptions {
         checkpoint_every: (checkpoint_every > 0).then_some(checkpoint_every),
         sync_every: sync_every.max(1),
     };
 
-    let text = std::fs::read_to_string(&path).expect("readable trace file");
-    let sc = Scenario::read_trace(&path, &text);
-    let golden = flag("expect-digest").map(|p| {
-        let digests = parse_digest_file(&std::fs::read_to_string(p).expect("readable digest file"));
-        assert_eq!(
-            digests.len(),
-            sc.events.len(),
-            "{p}: digest count must equal trace length"
-        );
-        (p.to_string(), digests)
-    });
+    let read = |file: &str| {
+        std::fs::read_to_string(file)
+            .unwrap_or_else(|e| args.fail(&format!("cannot read {file}: {e}")))
+    };
+    let sc = Scenario::read_trace(path, &read(path));
+    let golden = args
+        .raw("expect-digest")
+        .map(|p| (p.to_string(), parse_digest_file(&read(p))));
 
     // Phase 1 — build: run the full trace through a durable engine, the
     // way a live service would have, then "crash" (drop the writer).
@@ -129,28 +104,28 @@ fn main() {
     let build_seconds = start.elapsed().as_secs_f64();
 
     // The build itself must already match the golden stream — otherwise
-    // a "successful" recovery would certify the wrong history.
+    // a "successful" recovery would certify the wrong history. A golden
+    // file of the wrong length drifts where the shorter stream ends.
     if let Some((name, digests)) = &golden {
-        if let Some(i) = (0..digests.len()).find(|&i| digests[i] != build_digests[i]) {
+        if let Some((i, want, got)) = first_digest_drift(digests, &build_digests) {
             eprintln!(
-                "digest drift at event {i} during the build: recorded {:016x}, \
-                 engine produced {:016x} ({name})",
-                digests[i], build_digests[i]
+                "digest drift at event {i} during the build: recorded {want:016x}, \
+                 engine produced {got:016x} ({name})"
             );
-            std::process::exit(2);
+            std::process::exit(DRIFT);
         }
     }
 
     // Phase 2 — injure the live WAL segment like a crash would.
     let wal = fg_store::wal_path(&store_dir, snapshot_seq);
     let wal_bytes = std::fs::read(&wal).expect("live segment").len();
-    let inject_at: usize = flag("inject-at").map_or_else(
-        || match inject {
+    let inject_at: usize = args.get(
+        "inject-at",
+        match inject {
             "truncate" => wal_bytes * 2 / 3,
             "bitflip" => wal_bytes.saturating_sub(3),
             _ => 0,
         },
-        |v| v.parse().expect("--inject-at takes a byte offset"),
     );
     match inject {
         "truncate" => {
@@ -160,7 +135,9 @@ fn main() {
         }
         "bitflip" => {
             let mut bytes = std::fs::read(&wal).expect("live segment");
-            assert!(!bytes.is_empty(), "cannot bit-flip an empty segment");
+            if bytes.is_empty() {
+                args.fail("--inject bitflip: no event follows the last checkpoint");
+            }
             let at = inject_at.min(bytes.len() - 1);
             bytes[at] ^= 0x01;
             std::fs::write(&wal, bytes).expect("injected bit flip");
@@ -192,7 +169,7 @@ fn main() {
                  {:016x}, recovered run produced {digest:016x}",
                 build_digests[i]
             );
-            std::process::exit(2);
+            std::process::exit(DRIFT);
         }
     }
     let completion_seconds = start.elapsed().as_secs_f64();
@@ -200,7 +177,7 @@ fn main() {
 
     let report_json = Json::obj()
         .field("bench", Json::str("recover_trace"))
-        .field("trace", Json::str(&path))
+        .field("trace", Json::str(path))
         .field("events", Json::Int(sc.events.len() as i64))
         .field("host_cpus", Json::Int(fg_bench::host_cpus() as i64))
         .field("checkpoint_every", Json::Int(checkpoint_every as i64))
@@ -247,9 +224,8 @@ fn main() {
             },
         );
     println!("{}", report_json.compact());
-    if let Some(out) = flag("json") {
-        std::fs::write(out, report_json.pretty()).expect("writing --json");
-        eprintln!("wrote {out}");
+    if let Some(out) = args.json_path() {
+        write_artifact(out, &report_json);
     }
     let _ = std::fs::remove_dir_all(&store_dir);
 }

@@ -26,7 +26,7 @@
 //! plus the shared `--seed` / `--json <path>`.
 
 use fg_bench::json::Json;
-use fg_bench::{scenario, BenchArgs};
+use fg_bench::{scenario, write_artifact, BenchArgs};
 use fg_core::{ForgivingGraph, PlacementPolicy, SelfHealer};
 use fg_dist::DistHealer;
 use fg_serve::Publisher;
@@ -227,7 +227,7 @@ fn main() {
                     .field("replica_equal", Json::Bool(true))
                     .field("dist_replay_equal", Json::Bool(true)),
             );
-        std::fs::write(path, doc.pretty()).expect("write json artifact");
+        write_artifact(path, &doc);
     }
 
     drop(listener);

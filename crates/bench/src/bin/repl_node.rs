@@ -26,9 +26,11 @@
 //!
 //! Shared flags: `--workload churn --n 256 --events 4000 --seed 41
 //! --batch 32` — both roles must agree so the trace is identical.
+//! `--role`, `--dir`, `--ports` and `--golden` are required; a missing
+//! or unknown one exits 2 with usage.
 
 use fg_bench::json::Json;
-use fg_bench::{scenario, BenchArgs};
+use fg_bench::{scenario, write_artifact, BenchArgs};
 use fg_core::{ForgivingGraph, NetworkEvent, PlacementPolicy, SelfHealer};
 use fg_dist::DistHealer;
 use fg_graph::NodeId;
@@ -62,11 +64,10 @@ fn main() {
         "events",
         "batch",
     ]);
-    let role = args.raw("role").expect("--role master|replica").to_string();
-    match role.as_str() {
+    match args.required("role") {
         "master" => master(&args),
         "replica" => replica(&args),
-        other => panic!("--role {other:?} is not master|replica"),
+        other => args.fail(&format!("--role {other:?} is not master or replica")),
     }
 }
 
@@ -80,10 +81,10 @@ fn trace(args: &BenchArgs) -> (fg_graph::Graph, Vec<NetworkEvent>) {
 }
 
 fn master(args: &BenchArgs) {
+    let dir = args.required("dir");
+    let ports = args.required("ports");
+    let golden = args.required("golden");
     let (initial, events) = trace(args);
-    let dir = args.raw("dir").expect("--dir <store>").to_string();
-    let ports = args.raw("ports").expect("--ports <file>").to_string();
-    let golden = args.raw("golden").expect("--golden <file>").to_string();
     let to = args.get("to", events.len()).min(events.len());
     let batch = args.get("batch", 32usize).max(1);
     let linger = args.get("linger", 0u8) != 0;
@@ -92,8 +93,8 @@ fn master(args: &BenchArgs) {
     // acknowledged event replays, so the applied prefix is derivable
     // from the recovered epoch.
     let base_epoch = ForgivingGraph::from_graph(&initial).unwrap().epoch();
-    let durable = if fg_store::read_manifest(Path::new(&dir)).is_ok() {
-        let (durable, report) = DurableHealer::<ForgivingGraph>::open(Path::new(&dir), opts())
+    let durable = if fg_store::read_manifest(Path::new(dir)).is_ok() {
+        let (durable, report) = DurableHealer::<ForgivingGraph>::open(Path::new(dir), opts())
             .expect("recover master store");
         eprintln!(
             "repl_node master: recovered epoch {} ({} replayed)",
@@ -103,7 +104,7 @@ fn master(args: &BenchArgs) {
     } else {
         DurableHealer::create(
             ForgivingGraph::from_graph(&initial).unwrap(),
-            Path::new(&dir),
+            Path::new(dir),
             opts(),
         )
         .expect("create master store")
@@ -121,9 +122,9 @@ fn master(args: &BenchArgs) {
         ServerConfig::default(),
     )
     .expect("bind FGQ1 master");
-    let listener = ReplListener::bind("127.0.0.1:0", Path::new(&dir)).expect("bind FGR1");
+    let listener = ReplListener::bind("127.0.0.1:0", Path::new(dir)).expect("bind FGR1");
     std::fs::write(
-        &ports,
+        ports,
         format!("{}\n{}\n", server.addr(), listener.local_addr()),
     )
     .expect("write ports file");
@@ -137,7 +138,7 @@ fn master(args: &BenchArgs) {
     let mut golden_file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(&golden)
+        .open(golden)
         .expect("open golden file");
     let mut total = applied;
     for chunk in events[applied..to].chunks(batch) {
@@ -172,21 +173,21 @@ fn master(args: &BenchArgs) {
 }
 
 fn replica(args: &BenchArgs) {
+    let dir = args.required("dir");
+    let ports = args.required("ports");
+    let golden = args.required("golden");
     let (initial, events) = trace(args);
-    let dir = args.raw("dir").expect("--dir <store>").to_string();
-    let ports = args.raw("ports").expect("--ports <file>").to_string();
-    let golden = args.raw("golden").expect("--golden <file>").to_string();
     let probes = args.get("probes", 64usize);
     let check_dist = args.get("check-dist", 1u8) != 0;
     let batch = args.get("batch", 32usize).max(1);
 
-    let ports_text = std::fs::read_to_string(&ports).expect("read ports file");
+    let ports_text = std::fs::read_to_string(ports).expect("read ports file");
     let mut lines = ports_text.lines();
     let fgq_addr = lines.next().expect("fgq addr").trim().to_string();
     let fgr_addr = lines.next().expect("fgr addr").trim().to_string();
 
     let (mut node, report) =
-        ReplicaNode::<ForgivingGraph>::bootstrap(fgr_addr.as_str(), Path::new(&dir), opts())
+        ReplicaNode::<ForgivingGraph>::bootstrap(fgr_addr.as_str(), Path::new(dir), opts())
             .expect("bootstrap replica");
     eprintln!(
         "repl_node replica: local store at epoch {} ({} replayed)",
@@ -200,7 +201,7 @@ fn replica(args: &BenchArgs) {
 
     // Gate 1: the replica's certificate equals the tail of the master's
     // golden digest stream.
-    let golden_text = std::fs::read_to_string(&golden).expect("read golden file");
+    let golden_text = std::fs::read_to_string(golden).expect("read golden file");
     let last = golden_text
         .lines()
         .last()
@@ -293,7 +294,7 @@ fn replica(args: &BenchArgs) {
             .field("probe_answers", Json::Int(checked as i64))
             .field("mismatches", Json::Int(mismatches as i64))
             .field("dist_replay_equal", Json::Bool(dist_equal));
-        std::fs::write(path, doc.pretty()).expect("write json");
+        write_artifact(path, &doc);
     }
     replica_server.shutdown();
     if mismatches > 0 {

@@ -22,8 +22,8 @@
 
 use fg_bench::json::Json;
 use fg_bench::{
-    answer_api, answers_agree, scenario, Answer, BenchArgs, LatencyHistogram, Query, QueryKind,
-    QueryMix, QueryStream, QueryWorkload,
+    answer_api, answers_agree, scenario, write_artifact, Answer, BenchArgs, LatencyHistogram,
+    Query, QueryKind, QueryMix, QueryStream, QueryWorkload,
 };
 use fg_core::{GraphView, PlacementPolicy, SelfHealer};
 use fg_dist::DistHealer;
@@ -409,8 +409,7 @@ fn main() {
             "results",
             Json::Arr(runs.iter().map(|r| r.to_json(&setup)).collect()),
         );
-    std::fs::write(json_path, report.pretty()).expect("writing benchmark JSON");
-    eprintln!("wrote {json_path}");
+    write_artifact(json_path, &report);
 
     let bad: u64 = runs
         .iter()

@@ -27,14 +27,16 @@
 //! backend without its default arena [`CompactionPolicy`], for the
 //! uncompacted comparison; the post-run arena occupancy is recorded
 //! either way),
-//! `--trace-out <path>` (dump the trace for cross-ref replays), plus the
+//! `--trace-out <path>` (dump the trace; `recover_trace --trace` replays
+//! it through the durable store), plus the
 //! shared `--seed` / `--scale` / `--json <path>`. `--help` prints usage.
 //! The durable write path is measured end to end by the repo benchmark's
 //! `write-ack` workload (`perfbench`), not here.
 
 use fg_bench::json::Json;
 use fg_bench::{
-    scenario, BenchArgs, QueryStats, QueryWorkload, RunResult, Scenario, ScenarioRunner,
+    scenario, write_artifact, BenchArgs, QueryStats, QueryWorkload, RunResult, Scenario,
+    ScenarioRunner,
 };
 use fg_core::{
     CompactionPolicy, EngineStats, ForgivingGraph, PhaseTimes, PlacementPolicy, SelfHealer,
@@ -298,6 +300,5 @@ fn main() {
                 .collect(),
         ),
     );
-    std::fs::write(json_path, report.pretty()).expect("writing benchmark JSON");
-    eprintln!("wrote {json_path}");
+    write_artifact(json_path, &report);
 }

@@ -59,7 +59,7 @@ impl Json {
     }
 
     /// Renders on a single line (for line-oriented outputs that are
-    /// grepped or tailed, e.g. `replay_trace`'s result line).
+    /// grepped or tailed, e.g. `recover_trace`'s result line).
     pub fn compact(&self) -> String {
         let mut out = String::new();
         self.render_compact(&mut out);

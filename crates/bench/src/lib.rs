@@ -1,16 +1,16 @@
 //! # fg-bench — the experiment harness
 //!
-//! One binary per paper artifact (see DESIGN.md §5 and EXPERIMENTS.md):
+//! One binary per paper artifact (see DESIGN.md §5):
 //! E1/E2 reproduce Theorem 1's degree and stretch bounds, E3 reproduces
 //! Lemma 4's repair costs from the message-passing protocol, E4 the
 //! Theorem 2 lower bound, E5/E9 the comparisons against the Forgiving
 //! Tree and naive healers, E6–E8 the haft lemmas and the reconstruction-
 //! tree distance claim, and E10 Lemma 3's helper accounting.
 //!
-//! Each binary prints markdown tables (the ones embedded in
-//! EXPERIMENTS.md) to stdout; all of them share the [`args`] flag parser
-//! (`--seed` / `--scale` / `--json`). The [`scenario`](mod@scenario) module is the
-//! throughput side of the harness: named end-to-end workloads replayed
+//! Each binary prints markdown tables to stdout; all of them share the
+//! [`args`] flag parser (`--seed` / `--scale` / `--json`). The
+//! [`scenario`](mod@scenario) module is the throughput side of the
+//! harness: named end-to-end workloads replayed
 //! through any healer with batched ingestion, reported as
 //! machine-readable `BENCH_*.json` via [`json`]. The [`queries`] module
 //! adds the read side: mixed read/write workloads
@@ -32,7 +32,7 @@ pub mod scenario;
 use fg_core::{ForgivingGraph, PlacementPolicy};
 use fg_graph::Graph;
 
-pub use args::BenchArgs;
+pub use args::{write_artifact, BenchArgs};
 pub use latency::LatencyHistogram;
 pub use queries::{
     answer_api, answers_agree, Answer, Query, QueryKind, QueryMix, QueryStats, QueryStream,

@@ -1,6 +1,6 @@
-//! Lockstep trace replay, outcome digests, query digests, and
-//! digest-file parsing — shared by the `replay_trace` binary and the
-//! golden-trace regression suite (`tests/golden_traces.rs`).
+//! Trace replay, outcome digests, query digests, and digest-file
+//! parsing — shared by the golden-trace regression suite
+//! (`tests/golden_traces.rs`) and `recover_trace`'s digest gate.
 //!
 //! A *digest stream* is one stable 64-bit digest per event (see
 //! [`fg_core::ReportDigest`]): the digest of the typed outcome the healer
@@ -18,8 +18,7 @@
 
 use crate::scenario::Scenario;
 use fg_core::{
-    EngineError, ForgivingGraph, GraphView, HealOutcome, NetworkEvent, PlacementPolicy, QueryOps,
-    ReportDigest, SelfHealer,
+    EngineError, ForgivingGraph, GraphView, PlacementPolicy, QueryOps, ReportDigest, SelfHealer,
 };
 use fg_dist::DistHealer;
 use fg_graph::NodeId;
@@ -125,67 +124,6 @@ pub fn replay_query_digests(
         .collect()
 }
 
-/// A per-event divergence between two replays of one trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OutcomeMismatch {
-    /// Index of the diverging event.
-    pub index: usize,
-    /// The event itself.
-    pub event: NetworkEvent,
-    /// What the reference engine reported.
-    pub engine: HealOutcome,
-    /// What the distributed protocol reported.
-    pub dist: HealOutcome,
-}
-
-impl std::fmt::Display for OutcomeMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "report mismatch at event {} ({}): engine {:?} != dist {:?}",
-            self.index, self.event, self.engine, self.dist
-        )
-    }
-}
-
-/// Replays `sc` through the engine and the distributed protocol in
-/// lockstep, comparing the typed outcome of every event. Returns the
-/// number of events verified.
-///
-/// # Errors
-///
-/// The first per-event report mismatch (boxed — it carries both
-/// reports), or the first [`EngineError`] from either healer.
-pub fn verify_engine_vs_dist(sc: &Scenario) -> Result<usize, Box<dyn std::error::Error>> {
-    let mut engine = ReplayBackend::Engine.build(sc);
-    let mut dist = ReplayBackend::Dist.build(sc);
-    for (index, event) in sc.events.iter().enumerate() {
-        let a = engine.apply_event(event)?;
-        let b = dist.apply_event(event)?;
-        if a != b {
-            return Err(Box::new(ReplayError(OutcomeMismatch {
-                index,
-                event: event.clone(),
-                engine: a,
-                dist: b,
-            })));
-        }
-    }
-    Ok(sc.events.len())
-}
-
-/// [`OutcomeMismatch`] as an error.
-#[derive(Debug)]
-struct ReplayError(OutcomeMismatch);
-
-impl std::fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
 /// Renders a digest stream as a digest file: `#`-prefixed header lines
 /// for provenance, then one lower-case 16-hex-digit digest per event.
 pub fn format_digest_file(header: &str, digests: &[u64]) -> String {
@@ -260,12 +198,6 @@ mod tests {
         assert_eq!(engine.len(), 60);
         let dist = replay_digests(&sc, ReplayBackend::Dist).expect("dist replay");
         assert_eq!(first_digest_drift(&engine, &dist), None);
-    }
-
-    #[test]
-    fn verify_passes_on_legal_traces() {
-        let sc = scenario("churn", 16, 40, 3);
-        assert_eq!(verify_engine_vs_dist(&sc).expect("lockstep"), 40);
     }
 
     #[test]

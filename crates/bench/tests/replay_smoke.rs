@@ -1,20 +1,21 @@
-//! Smoke test for the `replay_trace` binary's checked-replay paths: the
-//! binary must exit **nonzero** when a replay mismatches its reference
-//! (it used to print and return success, which made it useless as a CI
-//! gate) and zero when every requested check passes. Two more checks
-//! drive `throughput`: `--help` must answer with usage, not panic, and
-//! an unknown flag must be refused before any run starts.
+//! The fg-bench binaries' command-line contract. `recover_trace` is a CI
+//! gate, so it must exit **nonzero** (status 3) when its run drifts
+//! from the reference digest stream and zero when every check passes.
+//! Bad input never panics: `--help` answers with usage and exit 0, and
+//! an unknown, missing or unusable flag exits 2 with usage on stderr
+//! before the run prints anything.
 
 use fg_bench::replay::{format_digest_file, replay_digests, ReplayBackend};
 use fg_bench::scenario;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
-fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_replay_trace"))
-}
+const RECOVER_TRACE: &str = env!("CARGO_BIN_EXE_recover_trace");
+const REPL_NODE: &str = env!("CARGO_BIN_EXE_repl_node");
+const THROUGHPUT: &str = env!("CARGO_BIN_EXE_throughput");
 
 /// Writes a small trace + its true digest file, returning their paths.
-fn fixture(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, Vec<u64>) {
+fn fixture(tag: &str) -> (PathBuf, PathBuf, Vec<u64>) {
     let dir = std::env::temp_dir().join(format!("fg-replay-smoke-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let sc = scenario("churn", 16, 40, 5);
@@ -26,65 +27,64 @@ fn fixture(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, Vec<u64>) {
     (trace, digest_file, digests)
 }
 
+/// Runs `recover_trace` over `trace` with a truncating crash, gated on
+/// `digest_file`.
+fn recover(trace: &Path, digest_file: &Path) -> Output {
+    Command::new(RECOVER_TRACE)
+        .args(["--trace", trace.to_str().unwrap()])
+        .args(["--inject", "truncate"])
+        .args(["--expect-digest", digest_file.to_str().unwrap()])
+        .output()
+        .expect("running recover_trace")
+}
+
+/// Runs `exe` with `args` and asserts an input error: exit 2, `expected`
+/// and the usage line on stderr, no panic, nothing on stdout.
+fn refused(exe: &str, args: &[&str], expected: &str) {
+    let out = Command::new(exe).args(args).output().expect("running bin");
+    let bin = Path::new(exe).file_stem().unwrap().to_string_lossy();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(expected), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(&format!("usage: {bin}")), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{bin} {args:?} printed results");
+}
+
 #[test]
 fn passing_checks_exit_zero() {
     let (trace, digest_file, _) = fixture("ok");
-    let out = bin()
-        .args([trace.to_str().unwrap(), "1"])
-        .args(["--verify", "dist"])
-        .args(["--expect-digest", digest_file.to_str().unwrap()])
-        .output()
-        .expect("running replay_trace");
+    let out = recover(&trace, &digest_file);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        out.status.success(),
-        "expected success, got {:?}\nstderr: {stderr}",
-        out.status
-    );
-    assert!(stderr.contains("engine == dist"), "stderr: {stderr}");
-    assert!(stderr.contains("digests match"), "stderr: {stderr}");
+    assert!(out.status.success(), "{:?}\nstderr: {stderr}", out.status);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"events\": 40"), "stdout: {stdout}");
+    assert!(stdout.contains("\"matched\": true"), "stdout: {stdout}");
 }
 
 #[test]
 fn digest_drift_exits_nonzero() {
     let (trace, digest_file, mut digests) = fixture("drift");
-    // Corrupt one recorded digest: the replay must detect the drift at
-    // exactly that event and exit nonzero without printing throughput.
+    // Corrupt one recorded digest: the run must detect the drift at
+    // exactly that event and exit 3 without printing its report.
     digests[17] ^= 0xdead_beef;
     std::fs::write(&digest_file, format_digest_file("smoke", &digests)).expect("rewrite");
-    let out = bin()
-        .args([trace.to_str().unwrap(), "1"])
-        .args(["--expect-digest", digest_file.to_str().unwrap()])
-        .output()
-        .expect("running replay_trace");
-    assert_eq!(out.status.code(), Some(2), "drift must exit with status 2");
+    let out = recover(&trace, &digest_file);
+    assert_eq!(out.status.code(), Some(3), "drift must exit with status 3");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("digest drift at event 17"),
-        "stderr: {stderr}"
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stdout).is_empty(),
-        "a failed check must not publish throughput numbers"
-    );
+    assert!(stderr.contains("digest drift at event 17"), "{stderr}");
+    assert!(out.stdout.is_empty(), "a failed check printed its report");
 }
 
 #[test]
 fn truncated_digest_file_exits_nonzero() {
     let (trace, digest_file, digests) = fixture("short");
-    std::fs::write(
-        &digest_file,
-        format_digest_file("smoke", &digests[..digests.len() - 3]),
-    )
-    .expect("rewrite");
-    let out = bin()
-        .args([trace.to_str().unwrap(), "1"])
-        .args(["--expect-digest", digest_file.to_str().unwrap()])
-        .output()
-        .expect("running replay_trace");
-    assert_eq!(out.status.code(), Some(2));
+    let short = format_digest_file("smoke", &digests[..digests.len() - 3]);
+    std::fs::write(&digest_file, short).expect("rewrite");
+    let out = recover(&trace, &digest_file);
+    assert_eq!(out.status.code(), Some(3));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("digest drift at event 37"), "{stderr}");
 }
 
 #[test]
@@ -92,38 +92,35 @@ fn unknown_flags_are_rejected() {
     // A typoed check flag must fail loudly, not let the gate pass with
     // the check silently skipped.
     let (trace, digest_file, _) = fixture("typo");
-    let out = bin()
-        .args([trace.to_str().unwrap(), "1"])
-        .args(["--expect-digests", digest_file.to_str().unwrap()]) // extra 's'
-        .output()
-        .expect("running replay_trace");
-    assert!(!out.status.success(), "typoed flag must not exit 0");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown flag --expect-digests"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let (trace, digest_file) = (trace.to_str().unwrap(), digest_file.to_str().unwrap());
+    let typo = ["--trace", trace, "--expect-digests", digest_file]; // extra 's'
+    refused(RECOVER_TRACE, &typo, "unknown flag --expect-digests");
+    let bogus = ["--trace", trace, "--bogus", "1"];
+    refused(RECOVER_TRACE, &bogus, "unknown flag --bogus");
 }
 
 #[test]
-fn digest_out_writes_a_reusable_reference() {
-    let (trace, _, digests) = fixture("out");
-    let fresh = trace.with_file_name("fresh.digests");
-    let out = bin()
-        .args([trace.to_str().unwrap(), "1"])
-        .args(["--digest-out", fresh.to_str().unwrap()])
-        .output()
-        .expect("running replay_trace");
-    assert!(out.status.success());
-    let written = fg_bench::replay::parse_digest_file(
-        &std::fs::read_to_string(&fresh).expect("digest-out file"),
-    );
-    assert_eq!(written, digests);
+fn bad_input_exits_2_with_usage() {
+    let (trace, _, _) = fixture("bad");
+    let trace = trace.to_str().unwrap();
+    let missing = std::env::temp_dir().join(format!("fg-no-such-dir-{}", std::process::id()));
+    let missing = |file: &str| missing.join(file).to_str().unwrap().to_string();
+    refused(REPL_NODE, &["--n", "16"], "--role is required");
+    refused(REPL_NODE, &["--role", "leader"], "\"leader\" is not master");
+    refused(REPL_NODE, &["--role", "master"], "--dir is required");
+    refused(RECOVER_TRACE, &[trace], "expected --flag");
+    refused(RECOVER_TRACE, &["--inject", "none"], "--trace is required");
+    let melt = ["--trace", trace, "--inject", "melt"];
+    refused(RECOVER_TRACE, &melt, "--inject \"melt\"");
+    let no_trace = missing("x.trace");
+    refused(RECOVER_TRACE, &["--trace", &no_trace], "cannot read");
+    let e7 = env!("CARGO_BIN_EXE_e7_merge_addition");
+    refused(e7, &["--json", &missing("x.json")], "does not exist");
 }
 
 #[test]
 fn throughput_help_exits_zero_without_panicking() {
-    let out = Command::new(env!("CARGO_BIN_EXE_throughput"))
+    let out = Command::new(THROUGHPUT)
         .arg("--help")
         .output()
         .expect("running throughput");
@@ -136,21 +133,10 @@ fn throughput_help_exits_zero_without_panicking() {
 
 #[test]
 fn throughput_refuses_an_unknown_flag() {
-    let dir = std::env::temp_dir().join(format!("fg-unknown-flag-{}", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_throughput"))
-        .args([
-            "--wal",
-            dir.to_str().unwrap(),
-            "--n",
-            "16",
-            "--events",
-            "10",
-        ])
-        .args(["--json", dir.join("t.json").to_str().unwrap()])
-        .output()
-        .expect("running throughput");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("unknown flag --wal"), "stderr: {stderr}");
-    assert!(stderr.contains("usage: throughput"), "stderr: {stderr}");
+    // Should the flag ever be accepted, the run's artifact lands in the
+    // temp dir, not in the source tree.
+    let json = std::env::temp_dir().join("fg-unknown-flag.json");
+    let json = json.to_str().unwrap();
+    let args = ["--wal", "dir", "--n", "16", "--json", json];
+    refused(THROUGHPUT, &args, "unknown flag --wal");
 }

@@ -9,7 +9,6 @@
 
 use crate::api::{InsertReport, RepairReport};
 use crate::error::EngineError;
-use crate::event::NetworkEvent;
 use crate::forest::Forest;
 use crate::image::ImageGraph;
 use crate::plan::WireTree;
@@ -364,22 +363,6 @@ impl ForgivingGraph {
                 (n.leaves, n.height)
             })
             .collect()
-    }
-
-    /// Applies an adversarial event.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EngineError`] from [`ForgivingGraph::insert`] /
-    /// [`ForgivingGraph::delete`].
-    pub fn apply(&mut self, event: &NetworkEvent) -> Result<Option<RepairReport>, EngineError> {
-        match event {
-            NetworkEvent::Insert { neighbors } => {
-                self.insert(neighbors)?;
-                Ok(None)
-            }
-            NetworkEvent::Delete { node } => Ok(Some(self.delete(*node)?)),
-        }
     }
 
     /// Adversarially inserts a node connected to `neighbors`.

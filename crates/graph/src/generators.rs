@@ -8,7 +8,7 @@
 //! construction of Theorem 2).
 //!
 //! All generators take an explicit seed and use `ChaCha8Rng`, so every
-//! experiment in EXPERIMENTS.md is bit-reproducible.
+//! experiment binary (DESIGN.md §5) is bit-reproducible.
 
 use crate::{Graph, NodeId};
 use rand::seq::SliceRandom;

@@ -1,5 +1,5 @@
-//! Experiment table rendering: aligned markdown (for EXPERIMENTS.md) and
-//! CSV (for external plotting).
+//! Experiment table rendering: aligned markdown (what the DESIGN.md §5
+//! binaries print) and CSV (for external plotting).
 
 use std::fmt::Write as _;
 

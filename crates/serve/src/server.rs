@@ -2,12 +2,12 @@
 //!
 //! One acceptor thread feeds accepted connections into a **bounded**
 //! queue consumed by `readers` worker threads — the queue bound is the
-//! connection cap, and a full queue blocks the acceptor, which in turn
-//! leaves further clients waiting in the OS accept backlog
-//! (backpressure without a single dropped connection). Each worker
-//! serves one connection at a time, frame by frame, pinning the latest
-//! published snapshot per request; a client may pipeline requests
-//! freely and responses come back in request order.
+//! connection cap (64 queued connections), and a full queue blocks the
+//! acceptor, which in turn leaves further clients waiting in the OS
+//! accept backlog (backpressure without a single dropped connection).
+//! Each worker serves one connection at a time, frame by frame, pinning
+//! the latest published snapshot per request; a client may pipeline
+//! requests freely and responses come back in request order.
 //!
 //! Protocol violations (bad CRC, oversized length prefix, bad magic,
 //! unknown op, truncated args) are answered with one typed error frame
@@ -28,20 +28,22 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Connection cap: the bound of the accepted-connection queue. When
+/// every reader is serving a connection and this many more are queued,
+/// the acceptor blocks and further clients wait in the OS accept
+/// backlog.
+const MAX_CONNECTIONS: usize = 64;
+
+/// How long a worker blocks in a socket read before re-checking the
+/// shutdown flag. Purely a shutdown-latency knob — partial frame bytes
+/// are preserved across timeouts.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
 /// Tunables for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Reader (worker) threads serving connections.
     pub readers: usize,
-    /// Connection cap: the bound of the accepted-connection queue. When
-    /// `readers` connections are being served and this many more are
-    /// queued, the acceptor blocks and further clients wait in the OS
-    /// accept backlog.
-    pub max_connections: usize,
-    /// How long a worker blocks in a socket read before re-checking the
-    /// shutdown flag. Purely a shutdown-latency knob — partial frame
-    /// bytes are preserved across timeouts.
-    pub read_timeout: Duration,
     /// Crash-injection hook for the panic-isolation regression test: a
     /// worker panics when it is about to answer this request id. Leave
     /// `None` (the default) everywhere outside tests.
@@ -53,8 +55,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             readers: 4,
-            max_connections: 64,
-            read_timeout: Duration::from_millis(50),
             panic_on_request_id: None,
         }
     }
@@ -159,7 +159,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
-        let (tx, rx) = sync_channel::<TcpStream>(config.max_connections.max(1));
+        let (tx, rx) = sync_channel::<TcpStream>(MAX_CONNECTIONS);
         let rx = Arc::new(Mutex::new(rx));
 
         let workers = (0..config.readers.max(1))
@@ -168,14 +168,11 @@ impl Server {
                 let hub = Arc::clone(&hub);
                 let shutdown = Arc::clone(&shutdown);
                 let stats = Arc::clone(&stats);
-                let timeout = config.read_timeout;
                 let writer = writer.clone();
                 let panic_on = config.panic_on_request_id;
                 std::thread::Builder::new()
                     .name(format!("fg-serve-reader-{i}"))
-                    .spawn(move || {
-                        worker_loop(&rx, &hub, &shutdown, &stats, timeout, &writer, panic_on)
-                    })
+                    .spawn(move || worker_loop(&rx, &hub, &shutdown, &stats, &writer, panic_on))
                     .expect("spawn reader thread")
             })
             .collect();
@@ -278,7 +275,6 @@ fn worker_loop(
     hub: &SnapshotHub,
     shutdown: &AtomicBool,
     stats: &ServerStats,
-    timeout: Duration,
     writer: &Option<SyncSender<WriteJob>>,
     panic_on: Option<u64>,
 ) {
@@ -301,7 +297,7 @@ fn worker_loop(
         // not kill the worker: catch it, count it, drop the connection,
         // keep serving the queue.
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            serve_connection(stream, hub, shutdown, stats, timeout, writer, panic_on);
+            serve_connection(stream, hub, shutdown, stats, writer, panic_on);
         }));
         if outcome.is_err() {
             stats.connection_panics.fetch_add(1, Ordering::Relaxed);
@@ -365,13 +361,12 @@ fn serve_connection(
     hub: &SnapshotHub,
     shutdown: &AtomicBool,
     stats: &ServerStats,
-    timeout: Duration,
     writer: &Option<SyncSender<WriteJob>>,
     panic_on: Option<u64>,
 ) {
     // fg-lint: allow(swallowed-results): nodelay is a latency hint; serving correctly without it beats dropping the connection
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(timeout)).is_err() {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         // Without a read timeout, read_full cannot poll the shutdown
         // flag and this connection could pin its worker forever — drop
         // it rather than serve unboundedly.

@@ -30,7 +30,7 @@ use fg_core::{
 };
 use fg_store::{chain_fold, DurableHealer, Persistable, CHAIN_BASE};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 /// One immutable published snapshot: a [`FrozenView`] of the healer's
 /// state plus the certificate of the history that produced it.
@@ -107,8 +107,6 @@ pub struct SnapshotHub {
     /// The published epoch, readable without touching the lock (the
     /// bench's saturation probes poll this).
     epoch: AtomicU64,
-    /// Publish notifications for [`wait_for_epoch`](SnapshotHub::wait_for_epoch).
-    publish_signal: (Mutex<u64>, Condvar),
 }
 
 impl SnapshotHub {
@@ -118,7 +116,6 @@ impl SnapshotHub {
         SnapshotHub {
             current: RwLock::new(Arc::new(snapshot)),
             epoch: AtomicU64::new(epoch),
-            publish_signal: (Mutex::new(epoch), Condvar::new()),
         }
     }
 
@@ -152,25 +149,10 @@ impl SnapshotHub {
     /// pins see `snapshot`.
     pub fn publish(&self, snapshot: ServeSnapshot) {
         let epoch = snapshot.epoch;
-        // Poison-safe: both locks guard single replaceable values (an
-        // Arc pointer, a u64) with no invariant a panic could tear.
+        // Poison-safe: the lock guards one replaceable Arc pointer, which
+        // a panic cannot leave half-swapped.
         *self.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(snapshot);
         self.epoch.store(epoch, Ordering::Release);
-        let (lock, cvar) = &self.publish_signal;
-        *lock.lock().unwrap_or_else(|e| e.into_inner()) = epoch;
-        cvar.notify_all();
-    }
-
-    /// Blocks until the published epoch reaches `target` (tests and
-    /// clients that need read-your-writes against a known write point).
-    pub fn wait_for_epoch(&self, target: u64) {
-        let (lock, cvar) = &self.publish_signal;
-        // Poison-safe: the guarded value is a plain u64 epoch; a waiter
-        // must keep waiting even if some publisher thread panicked.
-        let mut epoch = lock.lock().unwrap_or_else(|e| e.into_inner());
-        while *epoch < target {
-            epoch = cvar.wait(epoch).unwrap_or_else(|e| e.into_inner());
-        }
     }
 }
 
@@ -495,24 +477,5 @@ mod tests {
         // Same history, different batch boundaries: same certificate.
         assert_eq!(run(&[3]), run(&[1, 2]));
         assert_eq!(run(&[3]), run(&[1, 1, 1]));
-    }
-
-    #[test]
-    fn wait_for_epoch_sees_publishes() {
-        let fg = ForgivingGraph::from_graph(&generators::path(4)).unwrap();
-        let mut publisher = Publisher::new(fg);
-        let hub = publisher.hub();
-        let waiter = {
-            let hub = Arc::clone(&hub);
-            std::thread::spawn(move || {
-                hub.wait_for_epoch(5);
-                hub.pin().epoch
-            })
-        };
-        let _ = publisher
-            .apply_and_publish(&[NetworkEvent::insert([NodeId::new(0)])])
-            .unwrap();
-        assert_eq!(waiter.join().unwrap(), 5);
-        assert_eq!(hub.epoch(), 5);
     }
 }

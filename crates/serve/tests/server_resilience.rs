@@ -39,7 +39,6 @@ fn a_panicking_connection_is_isolated_and_counted() {
     let config = ServerConfig {
         readers: 1,
         panic_on_request_id: Some(0xdead),
-        ..ServerConfig::default()
     };
     let server = Server::bind(("127.0.0.1", 0), hub, config).unwrap();
     let addr = server.addr();

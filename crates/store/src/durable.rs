@@ -262,31 +262,7 @@ impl<H: Persistable> DurableHealer<H> {
 
         let mut chain = manifest.chain;
         for record in &scan.records[..scan.committed] {
-            let expected = inner.epoch() + 1;
-            if record.seq != expected {
-                return Err(RecoveryError::SequenceGap {
-                    expected,
-                    found: record.seq,
-                }
-                .into());
-            }
-            let outcome =
-                inner
-                    .apply_event(&record.event)
-                    .map_err(|error| RecoveryError::Replay {
-                        seq: record.seq,
-                        error,
-                    })?;
-            let replayed = outcome.digest();
-            if replayed != record.digest {
-                return Err(RecoveryError::DigestMismatch {
-                    seq: record.seq,
-                    logged: record.digest,
-                    replayed,
-                }
-                .into());
-            }
-            chain = chain_fold(chain, replayed);
+            chain = chain_fold(chain, replay_record(&mut inner, record)?.digest());
         }
 
         let file_len = std::fs::metadata(&segment)?.len();
@@ -453,32 +429,9 @@ impl<H: Persistable> DurableHealer<H> {
     /// must be discarded and reopened from its own store directory.
     /// I/O failure if an automatic checkpoint fails.
     pub fn apply_replicated(&mut self, record: &WalRecord) -> Result<HealOutcome, StoreError> {
-        let expected = self.inner.epoch() + 1;
-        if record.seq != expected {
-            return Err(RecoveryError::SequenceGap {
-                expected,
-                found: record.seq,
-            }
-            .into());
-        }
-        let outcome =
-            self.inner
-                .apply_event(&record.event)
-                .map_err(|error| RecoveryError::Replay {
-                    seq: record.seq,
-                    error,
-                })?;
-        let replayed = outcome.digest();
-        if replayed != record.digest {
-            return Err(RecoveryError::DigestMismatch {
-                seq: record.seq,
-                logged: record.digest,
-                replayed,
-            }
-            .into());
-        }
+        let outcome = replay_record(&mut self.inner, record)?;
         self.wal.stage(record);
-        self.chain = chain_fold(self.chain, replayed);
+        self.chain = chain_fold(self.chain, record.digest);
         self.since_checkpoint += 1;
         if record.is_commit() {
             if let Some(every) = self.opts.checkpoint_every {
@@ -498,6 +451,37 @@ impl<H: Persistable> DurableHealer<H> {
             event: event.clone(),
         }
     }
+}
+
+/// Applies one logged record to `inner` and certifies it: the record
+/// must be the next in sequence and must replay to exactly its logged
+/// digest. Recovery replay and replica apply both run this check.
+fn replay_record<H: Persistable>(
+    inner: &mut H,
+    record: &WalRecord,
+) -> Result<HealOutcome, RecoveryError> {
+    let expected = inner.epoch() + 1;
+    if record.seq != expected {
+        return Err(RecoveryError::SequenceGap {
+            expected,
+            found: record.seq,
+        });
+    }
+    let outcome = inner
+        .apply_event(&record.event)
+        .map_err(|error| RecoveryError::Replay {
+            seq: record.seq,
+            error,
+        })?;
+    let replayed = outcome.digest();
+    if replayed != record.digest {
+        return Err(RecoveryError::DigestMismatch {
+            seq: record.seq,
+            logged: record.digest,
+            replayed,
+        });
+    }
+    Ok(outcome)
 }
 
 impl<H: Persistable> SelfHealer for DurableHealer<H> {

@@ -3,7 +3,7 @@
 //! A store directory holds:
 //!
 //! ```text
-//! <dir>/MANIFEST             # "fgstore1 <hash:016x> <seq>"
+//! <dir>/MANIFEST             # "fgstore2 <hash:016x> <seq> <chain:016x>"
 //! <dir>/snap-<hash:016x>.bin # checkpoint bytes, named by FNV-64 content hash
 //! <dir>/wal-<seq>.log        # the segment following that checkpoint
 //! ```

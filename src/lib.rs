@@ -2,9 +2,9 @@
 //!
 //! A full reproduction of *The Forgiving Graph: a distributed data
 //! structure for low stretch under adversarial attack* (Hayes, Saia,
-//! Trehan; PODC 2009). Re-exports every layer of the workspace; see the
-//! README for the guided tour and EXPERIMENTS.md for the reproduced
-//! results.
+//! Trehan; PODC 2009). Re-exports every layer of the workspace; DESIGN.md
+//! §1 lays out the crates and §5 lists the binary that reproduces each
+//! paper claim.
 //!
 //! ```
 //! use forgiving_graph::core::ForgivingGraph;
