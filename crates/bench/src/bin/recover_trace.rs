@@ -75,10 +75,13 @@ fn main() {
         std::fs::read_to_string(file)
             .unwrap_or_else(|e| args.fail(&format!("cannot read {file}: {e}")))
     };
-    let sc = Scenario::read_trace(path, &read(path));
-    let golden = args
-        .raw("expect-digest")
-        .map(|p| (p.to_string(), parse_digest_file(&read(p))));
+    let sc = Scenario::read_trace(path, &read(path))
+        .unwrap_or_else(|e| args.fail(&format!("{path} is not a trace: {e}")));
+    let golden = args.raw("expect-digest").map(|p| {
+        let digests = parse_digest_file(&read(p))
+            .unwrap_or_else(|e| args.fail(&format!("{p} is not a digest file: {e}")));
+        (p.to_string(), digests)
+    });
 
     // Phase 1 — build: run the full trace through a durable engine, the
     // way a live service would have, then "crash" (drop the writer).

@@ -141,15 +141,18 @@ pub fn format_digest_file(header: &str, digests: &[u64]) -> String {
 
 /// Parses a digest file produced by [`format_digest_file`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on malformed lines — digest files are machine-written
-/// artifacts.
-pub fn parse_digest_file(text: &str) -> Vec<u64> {
+/// The first line that is neither blank, a `#` comment nor a hex digest,
+/// by number.
+pub fn parse_digest_file(text: &str) -> Result<Vec<u64>, String> {
     text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| u64::from_str_radix(l, 16).unwrap_or_else(|_| panic!("bad digest line {l:?}")))
+        .enumerate()
+        .map(|(k, l)| (k + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+        .map(|(k, l)| {
+            u64::from_str_radix(l, 16).map_err(|_| format!("line {k}: {l:?} is not a digest"))
+        })
         .collect()
 }
 
@@ -180,7 +183,9 @@ mod tests {
         let digests = vec![0, 1, u64::MAX, 0xdead_beef];
         let text = format_digest_file("churn n=24\nseed 7", &digests);
         assert!(text.starts_with("# churn n=24\n# seed 7\n"));
-        assert_eq!(parse_digest_file(&text), digests);
+        assert_eq!(parse_digest_file(&text), Ok(digests));
+        let bad = parse_digest_file("# header\n00ff\n\n[workspace]\n");
+        assert_eq!(bad, Err("line 4: \"[workspace]\" is not a digest".into()));
     }
 
     #[test]

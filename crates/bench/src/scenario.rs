@@ -95,43 +95,54 @@ impl Scenario {
 
     /// Parses a trace produced by [`Scenario::to_trace`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on malformed lines — traces are machine-written artifacts.
-    pub fn read_trace(name: &str, text: &str) -> Scenario {
+    /// The first malformed line, by number: an unknown tag, a field that
+    /// is not a node id, the wrong number of fields, or an initial edge
+    /// that is a self-loop, a duplicate or names a node the `n` line did
+    /// not create.
+    pub fn read_trace(name: &str, text: &str) -> Result<Scenario, String> {
         let mut initial = Graph::new();
         let mut events = Vec::new();
-        for line in text.lines() {
+        for (k, line) in text.lines().enumerate() {
+            let bad = |detail: String| format!("line {}: {detail}", k + 1);
             let mut parts = line.split_whitespace();
-            let tag = match parts.next() {
-                Some(t) => t,
-                None => continue,
+            let Some(tag) = parts.next() else {
+                continue;
             };
-            let ids: Vec<u32> = parts.map(|p| p.parse().expect("numeric field")).collect();
-            match tag {
-                "n" => {
-                    while initial.nodes_ever() < ids[0] as usize {
+            let ids = parts
+                .map(|p| {
+                    p.parse()
+                        .map_err(|e| bad(format!("{p:?} is not a node id: {e}")))
+                })
+                .collect::<Result<Vec<u32>, String>>()?;
+            match (tag, &ids[..]) {
+                ("n", &[count]) => {
+                    while initial.nodes_ever() < count as usize {
                         initial.add_node();
                     }
                 }
-                "e" => {
-                    initial
-                        .add_edge(NodeId::new(ids[0]), NodeId::new(ids[1]))
-                        .expect("trace edges are simple");
+                ("e", &[u, v]) => initial
+                    .add_edge(NodeId::new(u), NodeId::new(v))
+                    .map_err(|e| bad(e.to_string()))?,
+                ("I", ids) => {
+                    events.push(NetworkEvent::insert(ids.iter().map(|&i| NodeId::new(i))))
                 }
-                "I" => events.push(NetworkEvent::insert(ids.into_iter().map(NodeId::new))),
-                "D" => events.push(NetworkEvent::delete(NodeId::new(ids[0]))),
-                other => panic!("unknown trace tag {other:?}"),
+                ("D", &[v]) => events.push(NetworkEvent::delete(NodeId::new(v))),
+                ("n" | "e" | "D", _) => {
+                    return Err(bad(format!("wrong number of fields for {tag:?}")));
+                }
+                _ => return Err(bad(format!("unknown trace tag {tag:?}"))),
             }
         }
         let n = initial.nodes_ever();
-        Scenario {
+        Ok(Scenario {
             name: name.to_string(),
             n,
             seed: 0,
             initial,
             events,
-        }
+        })
     }
 }
 
@@ -790,9 +801,19 @@ mod tests {
     fn trace_roundtrips_through_text() {
         let sc = scenario("er", 24, 50, 5);
         let text = sc.to_trace();
-        let back = Scenario::read_trace("er", &text);
+        let back = Scenario::read_trace("er", &text).expect("a written trace parses");
         assert_eq!(back.initial, sc.initial);
         assert_eq!(back.events, sc.events);
+    }
+
+    #[test]
+    fn malformed_traces_name_the_line() {
+        let refused = |text: &str| Scenario::read_trace("bad", text).unwrap_err();
+        assert!(refused("[workspace]").starts_with("line 1: unknown trace tag"));
+        assert!(refused("n 4\n\ne 0 x").starts_with("line 3: \"x\" is not a node id"));
+        assert!(refused("n 4\nD").starts_with("line 2: wrong number of fields"));
+        assert!(refused("n 4\ne 1 1").starts_with("line 2: "));
+        assert!(refused("n 4\ne 1 9").starts_with("line 2: "));
     }
 
     #[test]

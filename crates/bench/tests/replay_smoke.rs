@@ -114,6 +114,17 @@ fn bad_input_exits_2_with_usage() {
     refused(RECOVER_TRACE, &melt, "--inject \"melt\"");
     let no_trace = missing("x.trace");
     refused(RECOVER_TRACE, &["--trace", &no_trace], "cannot read");
+    // Files that exist but hold something else: a manifest where the
+    // trace or the digest file belongs.
+    let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    let not_trace = ["--trace", manifest];
+    refused(RECOVER_TRACE, &not_trace, "is not a trace: line 1: ");
+    let not_digests = ["--trace", trace, "--expect-digest", manifest];
+    refused(
+        RECOVER_TRACE,
+        &not_digests,
+        "is not a digest file: line 1: ",
+    );
     let e7 = env!("CARGO_BIN_EXE_e7_merge_addition");
     refused(e7, &["--json", &missing("x.json")], "does not exist");
 }

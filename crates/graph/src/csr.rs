@@ -2,32 +2,45 @@
 //! publication.
 //!
 //! A [`FrozenCsr`] is an immutable compressed-sparse-row copy of a
-//! [`Graph`]'s *live* structure: one contiguous `offsets` array, one
-//! contiguous `targets` array, and a dense remap table between stable
-//! [`NodeId`]s and dense `u32` indices `0..live`. Freezing costs one
-//! linear pass (`O(live + edges)`); every query after that walks
-//! cache-contiguous arrays sized by the *live* population instead of
-//! tombstone-diluted `nodes_ever`-sized structures — after heavy churn
-//! the live set is a small fraction of the ids ever issued, so the
-//! working set shrinks by the same factor. A graph that changed since an
-//! earlier snapshot of it is frozen by advancing that snapshot instead
-//! ([`FrozenCsr::advance`]): the graph's change stamps say which rows
-//! changed, runs of the others are copied whole, and only the changed
-//! and appended rows are read from the graph.
+//! [`Graph`]'s *live* structure over dense `u32` ids, plus a remap table
+//! between stable [`NodeId`]s and dense ids. The rows sit in pages of 64
+//! consecutive dense ids, each page one `offsets`/`targets` pair with a
+//! live mask behind an [`Arc`]. Freezing costs one linear pass
+//! (`O(live + edges)`); every query after that walks rows sized by the
+//! *live* population instead of tombstone-diluted `nodes_ever`-sized
+//! structures — after heavy churn the live set is a small fraction of the
+//! ids ever issued, so the working set shrinks by the same factor.
+//!
+//! A graph that changed since an earlier snapshot of it is frozen by
+//! advancing that snapshot instead ([`FrozenCsr::advance`]). The two share
+//! the remap and every page none of whose rows changed, so a publish costs
+//! what the change touched: a changed page is rebuilt from its old
+//! unchanged rows plus the changed rows, which alone are read from the
+//! graph. Ids appended since the last full freeze take the next dense ids,
+//! and a row that died stays behind as an empty *hole* until holes
+//! outnumber a quarter of the live rows; then the snapshot is frozen
+//! afresh.
 //!
 //! The traversal kernel here is a dense mirror of [`crate::traversal`]'s
-//! bidirectional meet-in-the-middle search. Because the dense remap is
-//! built over live ids in ascending order it is *monotone*, so ascending
-//! iteration over a CSR row is ascending iteration over [`NodeId`]s —
-//! the kernel discovers nodes in exactly the order the live-graph kernel
-//! does, and therefore returns not just equal distances but
-//! **identical** concrete paths. The differential suites lean on that.
+//! bidirectional meet-in-the-middle search. A full freeze numbers the live
+//! ids in ascending order and appended ids are larger than every older
+//! one, so the dense remap is *monotone*: ascending iteration over a row
+//! is ascending iteration over [`NodeId`]s — the kernel discovers nodes in
+//! exactly the order the live-graph kernel does, and therefore returns not
+//! just equal distances but **identical** concrete paths. Holes change
+//! nothing, since no live row points at one. The differential suites lean
+//! on that.
 
 use crate::{Graph, NodeId};
 use std::ops::Range;
+use std::sync::Arc;
 
-/// Dense-index sentinel: "this id is not live in the snapshot".
+/// Dense-index sentinel: "this id has no dense id in the snapshot".
 const DEAD: u32 = u32::MAX;
+
+/// Rows per page: [`FrozenCsr::advance`] shares every page none of whose
+/// rows changed and rebuilds the others.
+const PAGE: usize = 64;
 
 /// An immutable compressed-sparse-row snapshot of a graph's live
 /// structure, with dense-id remapping and a bidirectional BFS kernel.
@@ -51,52 +64,134 @@ const DEAD: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrozenCsr {
-    /// Row boundaries: node `d`'s neighbors are
-    /// `targets[offsets[d] as usize..offsets[d + 1] as usize]`.
-    offsets: Vec<u32>,
-    /// Concatenated adjacency rows, dense ids, each row ascending.
-    targets: Vec<u32>,
-    /// `NodeId::index() -> dense index`, [`DEAD`]-filled for dead ids;
-    /// length [`Graph::nodes_ever`].
-    dense_of: Vec<u32>,
-    /// `dense index -> NodeId`, ascending; length `live_count`.
-    node_of: Vec<NodeId>,
+    /// The rows: dense id `d` is row `d % PAGE` of page `d / PAGE`.
+    pages: Vec<Arc<Page>>,
+    /// The dense ids of the last full freeze, shared by every snapshot
+    /// advanced from it. Ids it does not cover, appended since, take the
+    /// dense ids after its own, in order.
+    remap: Arc<Remap>,
+    /// [`Graph::nodes_ever`] of the graph this snapshot reflects.
+    ever: usize,
+    /// Live rows.
+    live: usize,
+    /// Undirected edges.
+    edges: usize,
     /// [`Graph::lineage`] of the graph this snapshot reflects.
     lineage: u64,
     /// [`Graph::version`] of the graph this snapshot reflects.
     version: u64,
 }
 
-/// Structural equality: the same rows over the same remap. Which graph
-/// state a snapshot was taken from is ignored, so an advanced snapshot
-/// equals a fresh freeze.
+/// [`PAGE`] consecutive rows of a snapshot.
+#[derive(Debug)]
+struct Page {
+    /// Bit `r` is set when row `r` is live. A clear bit is a hole, or lies
+    /// past the last dense id; its row is empty.
+    live: u64,
+    /// Row `r` is `targets[offsets[r] as usize..offsets[r + 1] as usize]`.
+    offsets: [u32; PAGE + 1],
+    /// Concatenated rows, dense ids, each row ascending.
+    targets: Vec<u32>,
+}
+
+impl Page {
+    fn row(&self, r: usize) -> &[u32] {
+        &self.targets[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+}
+
+/// The dense ids a full freeze hands out: the live ids, ascending.
+#[derive(Debug)]
+struct Remap {
+    /// `NodeId::index() -> dense id`, [`DEAD`] for ids dead at the freeze;
+    /// its length is the freeze's [`Graph::nodes_ever`].
+    dense_of: Vec<u32>,
+    /// `dense id -> NodeId`, ascending.
+    node_of: Vec<NodeId>,
+}
+
+/// Builds one [`Page`], row by row.
+struct PageBuilder {
+    page: Page,
+    rows: usize,
+}
+
+impl PageBuilder {
+    fn with_capacity(targets: usize) -> PageBuilder {
+        PageBuilder {
+            page: Page {
+                live: 0,
+                offsets: [0; PAGE + 1],
+                targets: Vec::with_capacity(targets),
+            },
+            rows: 0,
+        }
+    }
+
+    /// Appends a live row.
+    fn live(&mut self, row: impl IntoIterator<Item = u32>) {
+        self.page.live |= 1 << self.rows;
+        self.page.targets.extend(row);
+        self.end_row();
+    }
+
+    /// Appends a hole: an empty row that is not live.
+    fn hole(&mut self) {
+        self.end_row();
+    }
+
+    /// Appends rows `rows` of `page` as they are, next to each other in
+    /// one copy.
+    fn copy(&mut self, page: &Page, rows: Range<usize>) {
+        debug_assert_eq!(rows.start, self.rows);
+        let (lo, hi) = (page.offsets[rows.start], page.offsets[rows.end]);
+        // Rows before may have shrunk, so the shift may be negative.
+        let shift = (self.page.targets.len() as u32).wrapping_sub(lo);
+        self.page
+            .targets
+            .extend_from_slice(&page.targets[lo as usize..hi as usize]);
+        for r in rows.start + 1..=rows.end {
+            self.page.offsets[r] = page.offsets[r].wrapping_add(shift);
+        }
+        let mask = u64::MAX >> (PAGE - rows.len()) << rows.start;
+        self.page.live |= page.live & mask;
+        self.rows = rows.end;
+    }
+
+    fn end_row(&mut self) {
+        self.rows += 1;
+        self.page.offsets[self.rows] = self.page.targets.len() as u32;
+    }
+
+    fn finish(mut self) -> Arc<Page> {
+        let end = self.page.targets.len() as u32;
+        self.page.offsets[self.rows..].fill(end);
+        Arc::new(self.page)
+    }
+}
+
+/// Structural equality: the same live ids over the same id universe, with
+/// the same rows. Layout — dense ids, holes, pages — and which graph state
+/// a snapshot was taken from are ignored, so an advanced snapshot equals a
+/// fresh freeze.
 impl PartialEq for FrozenCsr {
     fn eq(&self, other: &Self) -> bool {
-        self.node_of == other.node_of
-            && self.offsets == other.offsets
-            && self.targets == other.targets
-            && self.dense_of == other.dense_of
+        self.ever == other.ever
+            && self.iter().eq(other.iter())
+            && self
+                .iter()
+                .all(|v| self.neighbors(v).eq(other.neighbors(v)))
     }
 }
 
 impl Eq for FrozenCsr {}
 
-/// How [`FrozenCsr::advance`] renumbers the targets of rows it copies.
-enum Renumber {
-    /// Nothing died: dense ids are unchanged.
-    Same,
-    /// One row died, at this dense id: later ids move down by one.
-    One(u32),
-    /// Several rows died: each old dense id's new one.
-    Table(Vec<u32>),
-}
-
 impl FrozenCsr {
     /// Freezes the live structure of `g` into CSR form.
     ///
     /// One pass over the live nodes in ascending id order (so the dense
-    /// remap is monotone), one pass over their adjacency to fill
-    /// `targets`.
+    /// remap is monotone), one pass over their adjacency to fill the
+    /// pages.
     pub fn from_graph(g: &Graph) -> FrozenCsr {
         let mut dense_of = vec![DEAD; g.nodes_ever()];
         let mut node_of = Vec::with_capacity(g.node_count());
@@ -104,20 +199,24 @@ impl FrozenCsr {
             dense_of[v.index()] = node_of.len() as u32;
             node_of.push(v);
         }
-        let mut offsets = Vec::with_capacity(node_of.len() + 1);
-        let mut targets = Vec::with_capacity(2 * g.edge_count());
-        offsets.push(0);
-        for &v in &node_of {
-            // A graph row holds live neighbors ascending, and the remap
-            // is monotone, so each row lands ascending in dense ids.
-            targets.extend(g.row(v).iter().map(|w| dense_of[w.index()]));
-            offsets.push(targets.len() as u32);
-        }
+        let pages = node_of
+            .chunks(PAGE)
+            .map(|rows| {
+                let mut page = PageBuilder::with_capacity(rows.iter().map(|&v| g.degree(v)).sum());
+                for &v in rows {
+                    // A graph row holds live neighbors ascending, and the
+                    // remap is monotone, so each row lands ascending.
+                    page.live(g.row(v).iter().map(|w| dense_of[w.index()]));
+                }
+                page.finish()
+            })
+            .collect();
         FrozenCsr {
-            offsets,
-            targets,
-            dense_of,
-            node_of,
+            pages,
+            ever: g.nodes_ever(),
+            live: node_of.len(),
+            edges: g.edge_count(),
+            remap: Arc::new(Remap { dense_of, node_of }),
             lineage: g.lineage(),
             version: g.version(),
         }
@@ -138,16 +237,19 @@ impl FrozenCsr {
     /// another lineage, or whose version or id count is smaller, is frozen
     /// from scratch. Otherwise:
     ///
-    /// * **Remap.** The live ids are the old ones minus those that died,
-    ///   then the ids appended since that are still live — exactly
-    ///   ascending order, so the remap stays monotone.
-    /// * **Untouched rows.** A row outside every block
-    ///   [`Graph::changed_since`] reports has exactly its frozen
-    ///   neighbours, all still alive: a neighbour's death, like any edge
-    ///   change, stamps the row. Runs of such rows are copied in one pass,
-    ///   their targets renumbered past the dead (nothing to do when
-    ///   nothing died).
-    /// * **Changed and appended rows** are read from `g`.
+    /// * **Dense ids.** The remap is shared, and so is every dense id: ids
+    ///   appended since take the next ones, in order, so the remap stays
+    ///   monotone. A row that died stays an empty hole; once holes
+    ///   outnumber a quarter of the live rows, `g` is frozen from scratch
+    ///   instead.
+    /// * **Changed rows** are exactly the rows `g` stamped since (its
+    ///   per-row stamps, inside the blocks [`Graph::changed_since`]
+    ///   reports), plus every appended row; they are read from `g`. A row
+    ///   that was not stamped has exactly its frozen neighbours, all still
+    ///   alive: a neighbour's death, like any edge change, stamps the row.
+    /// * **Pages** with no changed row are shared. A page with one is
+    ///   rebuilt: its unchanged rows copied from the old page, its changed
+    ///   rows read.
     ///
     /// # Examples
     ///
@@ -165,162 +267,149 @@ impl FrozenCsr {
     /// assert_eq!(csr.advance(&fork), FrozenCsr::from_graph(&fork));
     /// ```
     pub fn advance(&self, g: &Graph) -> FrozenCsr {
-        let (old_ever, ever) = (self.nodes_ever(), g.nodes_ever());
-        let old_live = self.live_count();
-        if g.lineage() != self.lineage || g.version() < self.version || ever < old_ever {
+        let ever = g.nodes_ever();
+        if g.lineage() != self.lineage || g.version() < self.version || ever < self.ever {
             return FrozenCsr::from_graph(g);
         }
-        let blocks: Vec<Range<usize>> = g.changed_blocks(self.version).collect();
-        let old_ids = |ids: &Range<usize>| ids.start..ids.end.min(old_ever);
-        // Dense ids of the rows that died, ascending: a death stamps its
-        // own block.
-        let deaths: Vec<u32> = blocks
-            .iter()
-            .flat_map(old_ids)
-            .map(|i| self.dense_of[i])
-            .filter(|&d| d != DEAD && !g.contains(self.node(d)))
-            .collect();
-
-        let mut node_of = Vec::with_capacity(g.node_count());
-        let mut from = 0;
-        for &d in &deaths {
-            node_of.extend_from_slice(&self.node_of[from..d as usize]);
-            from = d as usize + 1;
-        }
-        node_of.extend_from_slice(&self.node_of[from..]);
-        node_of.extend(
-            (old_ever..ever)
-                .map(|i| NodeId::new(i as u32))
-                .filter(|&a| g.contains(a)),
-        );
-        // Rows before the first death keep their dense ids.
-        let mut dense_of = Vec::with_capacity(ever);
-        dense_of.extend_from_slice(&self.dense_of);
-        dense_of.resize(ever, DEAD);
-        for &d in &deaths {
-            dense_of[self.node(d).index()] = DEAD;
-        }
-        let kept = deaths.first().map_or(old_live, |&d| d as usize);
-        for (d, v) in node_of.iter().enumerate().skip(kept) {
-            dense_of[v.index()] = d as u32;
-        }
-        let renumber = match deaths[..] {
-            [] => Renumber::Same,
-            [d] => Renumber::One(d),
-            _ => Renumber::Table(self.node_of.iter().map(|v| dense_of[v.index()]).collect()),
-        };
-
-        let mut offsets = Vec::with_capacity(node_of.len() + 1);
-        let mut targets = Vec::with_capacity(2 * g.edge_count());
-        offsets.push(0);
-        let read_row = |v: NodeId, offsets: &mut Vec<u32>, targets: &mut Vec<u32>| {
-            targets.extend(g.row(v).iter().map(|w| dense_of[w.index()]));
-            offsets.push(targets.len() as u32);
-        };
-        let mut next = 0;
-        for ids in blocks.iter().map(old_ids) {
-            // The block's frozen rows are consecutive dense ids.
-            let Some(first) = ids.clone().map(|i| self.dense_of[i]).find(|&d| d != DEAD) else {
-                continue;
-            };
-            self.copy_rows(next..first as usize, &renumber, &mut offsets, &mut targets);
-            next = first as usize;
-            while next < old_live && self.node_of[next].index() < ids.end {
-                let v = self.node_of[next];
-                if g.contains(v) {
-                    read_row(v, &mut offsets, &mut targets);
-                }
-                next += 1;
-            }
-        }
-        self.copy_rows(next..old_live, &renumber, &mut offsets, &mut targets);
-        for &a in &node_of[old_live - deaths.len()..] {
-            read_row(a, &mut offsets, &mut targets);
-        }
-        debug_assert_eq!(targets.len(), 2 * g.edge_count());
-        FrozenCsr {
-            offsets,
-            targets,
-            dense_of,
-            node_of,
+        let mut next = FrozenCsr {
+            pages: self.pages.clone(),
+            remap: Arc::clone(&self.remap),
+            ever,
+            live: g.node_count(),
+            edges: g.edge_count(),
             lineage: g.lineage(),
             version: g.version(),
+        };
+        let slots = next.slots();
+        if 4 * (slots - next.live) > next.live {
+            return FrozenCsr::from_graph(g);
+        }
+        // The dense ids of the changed rows, ascending: the stamped rows
+        // of old ids (an id dead at the full freeze has no dense id, and
+        // no row to change), then every appended id.
+        let mut changed = g
+            .changed_rows(self.version)
+            .take_while(|&i| i < self.ever)
+            .filter_map(|i| self.slot(i))
+            .chain(self.slots() as u32..slots as u32)
+            .peekable();
+        while let Some(&first) = changed.peek() {
+            let p = first as usize / PAGE;
+            let rows = slots.min((p + 1) * PAGE) - p * PAGE;
+            let mut page =
+                PageBuilder::with_capacity(self.pages.get(p).map_or(0, |old| old.targets.len()));
+            while page.rows < rows {
+                let stop = match changed.peek() {
+                    Some(&d) if d as usize / PAGE == p => d as usize % PAGE,
+                    _ => rows,
+                };
+                if stop > page.rows {
+                    // Unchanged rows are old ones, on an old page.
+                    page.copy(&self.pages[p], page.rows..stop);
+                    continue;
+                }
+                changed.next();
+                let v = next.node((p * PAGE + stop) as u32);
+                if g.contains(v) {
+                    page.live(g.row(v).iter().map(|w| next.slot_of(w.index())));
+                } else {
+                    page.hole();
+                }
+            }
+            let page = page.finish();
+            match next.pages.get_mut(p) {
+                Some(old) => *old = page,
+                None => next.pages.push(page),
+            }
+        }
+        debug_assert_eq!(
+            next.pages.iter().map(|p| p.targets.len()).sum::<usize>(),
+            2 * next.edges
+        );
+        next
+    }
+
+    /// Number of dense ids: live rows plus holes.
+    fn slots(&self) -> usize {
+        self.remap.node_of.len() + self.ever - self.remap.dense_of.len()
+    }
+
+    /// The dense id of an id below `ever` that has one: every id live at
+    /// the last full freeze or appended since. [`DEAD`] for the others.
+    fn slot_of(&self, i: usize) -> u32 {
+        match self.remap.dense_of.get(i) {
+            Some(&d) => d,
+            None => (self.remap.node_of.len() + i - self.remap.dense_of.len()) as u32,
         }
     }
 
-    /// Appends this snapshot's rows `rows`, none of which changed: their
-    /// targets renumbered in one pass, their row ends shifted by the
-    /// difference in everything before them.
-    fn copy_rows(
-        &self,
-        rows: Range<usize>,
-        renumber: &Renumber,
-        offsets: &mut Vec<u32>,
-        targets: &mut Vec<u32>,
-    ) {
-        let (lo, hi) = (self.offsets[rows.start], self.offsets[rows.end]);
-        // Rows before may have shrunk, so the shift may be negative.
-        let shift = (targets.len() as u32).wrapping_sub(lo);
-        let run = &self.targets[lo as usize..hi as usize];
-        match renumber {
-            Renumber::Same => targets.extend_from_slice(run),
-            Renumber::One(d) => targets.extend(run.iter().map(|&t| t - u32::from(t > *d))),
-            Renumber::Table(new) => targets.extend(run.iter().map(|&t| new[t as usize])),
-        }
-        offsets.extend(
-            self.offsets[rows.start + 1..=rows.end]
-                .iter()
-                .map(|&o| o.wrapping_add(shift)),
-        );
+    /// The dense id of id `i`, live or a hole.
+    fn slot(&self, i: usize) -> Option<u32> {
+        (i < self.ever)
+            .then(|| self.slot_of(i))
+            .filter(|&d| d != DEAD)
+    }
+
+    /// Whether dense id `d` holds a live row.
+    fn is_live(&self, d: u32) -> bool {
+        self.pages[d as usize / PAGE].live >> (d as usize % PAGE) & 1 == 1
     }
 
     /// Number of live nodes in the snapshot.
     pub fn live_count(&self) -> usize {
-        self.node_of.len()
+        self.live
     }
 
     /// Size of the id universe the snapshot was taken over
     /// (`Graph::nodes_ever` at freeze time).
     pub fn nodes_ever(&self) -> usize {
-        self.dense_of.len()
+        self.ever
     }
 
     /// Number of undirected edges in the snapshot.
     pub fn edge_count(&self) -> usize {
-        self.targets.len() / 2
+        self.edges
     }
 
     /// Whether `v` was live at freeze time.
     pub fn contains(&self, v: NodeId) -> bool {
-        self.dense_of.get(v.index()).is_some_and(|&d| d != DEAD)
+        self.dense(v).is_some()
     }
 
-    /// The dense index of `v`, if live.
+    /// The dense index of `v`, if live. Dense indices ascend with
+    /// [`NodeId`]s; they run `0..live_count()` after a full freeze, and
+    /// skip the holes dead rows left in an advanced snapshot.
     pub fn dense(&self, v: NodeId) -> Option<u32> {
-        self.dense_of.get(v.index()).copied().filter(|&d| d != DEAD)
+        self.slot(v.index()).filter(|&d| self.is_live(d))
     }
 
-    /// The [`NodeId`] behind dense index `d`.
+    /// The [`NodeId`] behind dense index `d`: a live node, or the node
+    /// that died in a hole.
     ///
     /// # Panics
     ///
-    /// If `d >= live_count()`.
+    /// If `d` is past the snapshot's last dense index.
     pub fn node(&self, d: u32) -> NodeId {
-        self.node_of[d as usize]
+        match self.remap.node_of.get(d as usize) {
+            Some(&v) => v,
+            None => {
+                let i = self.remap.dense_of.len() + d as usize - self.remap.node_of.len();
+                assert!(i < self.ever, "dense index {d} is past the snapshot");
+                NodeId::new(i as u32)
+            }
+        }
     }
 
     /// The live nodes, ascending — same order as [`Graph::iter`].
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_of.iter().copied()
+        (0..self.slots() as u32)
+            .filter(|&d| self.is_live(d))
+            .map(|d| self.node(d))
     }
 
-    /// `v`'s dense-id adjacency row (ascending). Empty for dead ids.
+    /// Dense index `d`'s adjacency row (ascending). Empty for holes.
     fn row(&self, d: u32) -> &[u32] {
-        let (lo, hi) = (
-            self.offsets[d as usize] as usize,
-            self.offsets[d as usize + 1] as usize,
-        );
-        &self.targets[lo..hi]
+        self.pages[d as usize / PAGE].row(d as usize % PAGE)
     }
 
     /// Degree of `v`, or `None` when `v` was dead at freeze time.
@@ -332,7 +421,7 @@ impl FrozenCsr {
     /// [`Graph::neighbors`]. Empty for dead ids.
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let row = self.dense(v).map_or(&[][..], |d| self.row(d));
-        row.iter().map(|&w| self.node_of[w as usize])
+        row.iter().map(|&w| self.node(w))
     }
 
     /// Length of the shortest path between `u` and `v` in the snapshot,
@@ -392,7 +481,7 @@ impl FrozenCsr {
     ) -> Option<(u32, u32, DenseFrontier, DenseFrontier)> {
         debug_assert_ne!(u, v);
         let (du, dv) = (self.dense(u)?, self.dense(v)?);
-        let n = self.live_count();
+        let n = self.slots();
         let mut from_u = DenseFrontier::seeded(n, du, track_parents);
         let mut from_v = DenseFrontier::seeded(n, dv, track_parents);
         let mut best: Option<(u32, u32)> = None;
@@ -420,8 +509,8 @@ impl FrozenCsr {
 }
 
 /// One side of the dense bidirectional search: flat `u32` distance and
-/// parent arrays ([`DEAD`]-sentinel) over the dense id space, plus the
-/// current wave in discovery order.
+/// parent arrays ([`DEAD`]-sentinel) over the dense ids, holes included,
+/// plus the current wave in discovery order.
 struct DenseFrontier {
     dist: Vec<u32>,
     parent: Vec<u32>,
@@ -566,6 +655,116 @@ mod tests {
         let csr = FrozenCsr::from_graph(&g);
         assert_eq!(csr.bidirectional_distance(n(0), n(0)), Some(0));
         assert_eq!(csr.shortest_path(n(0), n(0)), Some(vec![n(0)]));
+    }
+
+    /// Which pages of `after` are the very pages of `before`.
+    fn shared_pages(before: &FrozenCsr, after: &FrozenCsr) -> Vec<bool> {
+        let page = |p: usize| before.pages.get(p);
+        (0..after.pages.len())
+            .map(|p| page(p).is_some_and(|old| Arc::ptr_eq(old, &after.pages[p])))
+            .collect()
+    }
+
+    #[test]
+    fn advance_copies_only_the_pages_a_change_touched() {
+        // Ids 0..300: four full pages and a last one of 44 rows.
+        let mut g = crate::generators::path(300);
+        let frozen = FrozenCsr::from_graph(&g);
+        assert_eq!(frozen.pages.len(), 5);
+        // A delete changes rows 99, 100 and 101, all on page 1.
+        g.remove_node(n(100)).unwrap();
+        let deleted = frozen.advance(&g);
+        assert_eq!(deleted, FrozenCsr::from_graph(&g));
+        assert_eq!(
+            shared_pages(&frozen, &deleted),
+            [true, false, true, true, true]
+        );
+        assert!(Arc::ptr_eq(&frozen.remap, &deleted.remap));
+        // An insert joined to 5 and 250 changes rows on pages 0 and 3 and
+        // appends id 300 to the last page, which its hole at 100 leaves
+        // at dense index 300.
+        let v = g.add_node();
+        g.add_edge(v, n(5)).unwrap();
+        g.add_edge(v, n(250)).unwrap();
+        let inserted = deleted.advance(&g);
+        assert_eq!(inserted, FrozenCsr::from_graph(&g));
+        assert_eq!(inserted.dense(v), Some(300));
+        assert_eq!(
+            shared_pages(&deleted, &inserted),
+            [false, true, true, false, false]
+        );
+        // With nothing changed, every page is shared.
+        assert!(shared_pages(&inserted, &inserted.advance(&g))
+            .iter()
+            .all(|&s| s));
+    }
+
+    #[test]
+    fn appended_ids_fill_the_last_page_then_open_new_ones() {
+        let mut g = crate::generators::path(60);
+        let mut csr = FrozenCsr::from_graph(&g);
+        for step in 0..10 {
+            // Each step appends 3 ids, one of them dead on arrival.
+            let a = g.add_node();
+            let b = g.add_node();
+            let c = g.add_node();
+            g.add_edge(a, n(step)).unwrap();
+            g.add_edge(a, c).unwrap();
+            g.add_edge(b, n(59 - step)).unwrap();
+            g.remove_node(b).unwrap();
+            let next = csr.advance(&g);
+            assert_eq!(next, FrozenCsr::from_graph(&g), "step {step}");
+            assert_eq!(next.slots(), g.nodes_ever());
+            csr = next;
+        }
+        assert_eq!(csr.pages.len(), 2);
+        assert_eq!(csr.dense(n(89)), Some(89));
+        assert_eq!(csr.dense(n(88)), None);
+    }
+
+    #[test]
+    fn holes_stay_until_they_outnumber_a_quarter_of_the_live_rows() {
+        // 100 live ids: the 21st death leaves 21 holes against 79 live
+        // rows, past a quarter, so that advance freezes afresh.
+        let mut g = crate::generators::path(100);
+        let first = FrozenCsr::from_graph(&g);
+        let mut csr = first.clone();
+        for k in 1..=21u32 {
+            g.remove_node(n(4 * k)).unwrap();
+            csr = csr.advance(&g);
+            assert_eq!(csr, FrozenCsr::from_graph(&g), "death {k}");
+            let refrozen = k == 21;
+            assert_eq!(
+                !Arc::ptr_eq(&csr.remap, &first.remap),
+                refrozen,
+                "death {k}"
+            );
+            assert_eq!(csr.slots(), if refrozen { 79 } else { 100 });
+        }
+    }
+
+    #[test]
+    fn paths_through_an_advanced_snapshot_with_holes_match_the_live_kernel() {
+        let mut g = crate::generators::cycle(150);
+        let mut csr = FrozenCsr::from_graph(&g);
+        for (k, victim) in [7u32, 70, 71, 140].into_iter().enumerate() {
+            let v = g.add_node();
+            g.add_edge(v, n(3 * k as u32)).unwrap();
+            g.add_edge(v, n(100 + k as u32)).unwrap();
+            g.remove_node(n(victim)).unwrap();
+            csr = csr.advance(&g);
+        }
+        assert!(csr.slots() > csr.live_count(), "the deaths left holes");
+        for i in 0..g.nodes_ever() as u32 {
+            for j in (0..g.nodes_ever() as u32).step_by(7) {
+                let (u, v) = (n(i), n(j));
+                assert_eq!(
+                    csr.shortest_path(u, v),
+                    traversal::shortest_path(&g, u, v),
+                    "({u}, {v})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! A graph also records *where* it changed, so a frozen snapshot can be
 //! brought up to date by re-reading only those rows
 //! ([`FrozenCsr::advance`](crate::FrozenCsr::advance)). Every successful
-//! mutation bumps a [`version`](Graph::version) counter and stamps the
-//! block of 16 ids holding each row it changed with the new version: both
-//! endpoints of an added or removed edge, a removed node and each of its
-//! former neighbours, a new node.
+//! mutation bumps a [`version`](Graph::version) counter and stamps each
+//! row it changed with the new version: both endpoints of an added or
+//! removed edge, a removed node and each of its former neighbours, a new
+//! node. The stamp goes on the row itself and on the block of 16 ids
+//! holding it, so a reader finds the changed rows by scanning blocks.
 //! [`changed_since`](Graph::changed_since) lists the ids of every block
 //! stamped after a given version. A [`lineage`](Graph::lineage), fresh for
 //! every constructed or cloned graph, says which history those versions
@@ -77,7 +78,9 @@ pub struct Graph {
     /// Per aligned block of [`CHANGE_BLOCK`] ids, the version that last
     /// changed a row in it.
     changed_at: Vec<u64>,
-    /// Which history `version` and `changed_at` count.
+    /// Per id, the version that last changed its row.
+    row_changed_at: Vec<u64>,
+    /// Which history `version` and the stamps count.
     lineage: u64,
 }
 
@@ -96,6 +99,7 @@ impl Graph {
             live_edges: 0,
             version: 0,
             changed_at: Vec::with_capacity(n.div_ceil(CHANGE_BLOCK)),
+            row_changed_at: Vec::with_capacity(n),
             lineage: fresh_lineage(),
         }
     }
@@ -109,6 +113,7 @@ impl Graph {
             live_edges: 0,
             version: 0,
             changed_at: vec![0; n.div_ceil(CHANGE_BLOCK)],
+            row_changed_at: vec![0; n],
             lineage: fresh_lineage(),
         }
     }
@@ -142,14 +147,16 @@ impl Graph {
         if id.index().is_multiple_of(CHANGE_BLOCK) {
             self.changed_at.push(0);
         }
+        self.row_changed_at.push(0);
         self.version += 1;
         self.stamp(id);
         id
     }
 
-    /// Marks `v`'s row as changed by the current version.
+    /// Marks `v`'s row, and its block, as changed by the current version.
     fn stamp(&mut self, v: NodeId) {
         self.changed_at[v.index() / CHANGE_BLOCK] = self.version;
+        self.row_changed_at[v.index()] = self.version;
     }
 
     /// The number of successful mutations since the graph was created:
@@ -193,13 +200,21 @@ impl Graph {
 
     /// The id ranges of the blocks [`changed_since`](Graph::changed_since)
     /// reports, ascending.
-    pub(crate) fn changed_blocks(&self, version: u64) -> impl Iterator<Item = Range<usize>> + '_ {
+    fn changed_blocks(&self, version: u64) -> impl Iterator<Item = Range<usize>> + '_ {
         let ever = self.nodes_ever();
         self.changed_at
             .iter()
             .enumerate()
             .filter(move |&(_, &at)| at > version)
             .map(move |(b, _)| b * CHANGE_BLOCK..ever.min((b + 1) * CHANGE_BLOCK))
+    }
+
+    /// Exactly the ids whose rows changed after `version`, ascending:
+    /// the stamped blocks, narrowed by the per-row stamps.
+    pub(crate) fn changed_rows(&self, version: u64) -> impl Iterator<Item = usize> + '_ {
+        self.changed_blocks(version)
+            .flatten()
+            .filter(move |&i| self.row_changed_at[i] > version)
     }
 
     /// Number of live (non-removed) nodes.
@@ -390,6 +405,7 @@ impl Clone for Graph {
             live_edges: self.live_edges,
             version: self.version,
             changed_at: self.changed_at.clone(),
+            row_changed_at: self.row_changed_at.clone(),
             lineage: fresh_lineage(),
         }
     }
@@ -601,5 +617,23 @@ mod tests {
         assert!(g.remove_edge(n(1), n(2)).is_err());
         assert!(g.remove_node(n(40)).is_err());
         assert_eq!(g.version(), v5);
+    }
+
+    #[test]
+    fn changed_rows_name_exactly_the_changed_rows() {
+        let mut g = Graph::with_nodes(40);
+        let v0 = g.version();
+        g.add_edge(n(3), n(35)).unwrap();
+        g.add_edge(n(3), n(4)).unwrap();
+        assert_eq!(g.changed_rows(v0).collect::<Vec<_>>(), [3, 4, 35]);
+        let v1 = g.version();
+        g.remove_edge(n(3), n(4)).unwrap();
+        assert_eq!(g.changed_rows(v1).collect::<Vec<_>>(), [3, 4]);
+        // A removed node and its former neighbour, then a new node.
+        let v2 = g.version();
+        g.remove_node(n(35)).unwrap();
+        g.add_node();
+        assert_eq!(g.changed_rows(v2).collect::<Vec<_>>(), [3, 35, 40]);
+        assert_eq!(g.changed_rows(g.version()).count(), 0);
     }
 }

@@ -161,4 +161,33 @@ proptest! {
         let unrelated = churned_graph(base, &forked);
         prop_assert_eq!(twice.advance(&unrelated), FrozenCsr::from_graph(&unrelated));
     }
+
+    /// A chain of advances over a graph spanning several 64-row pages,
+    /// one short random tape per step (deaths pile up as holes until a
+    /// step freezes afresh, and appended ids fill the last page and open
+    /// new ones), equals a fresh freeze at every step and answers shortest
+    /// paths node-identical to the live kernel's.
+    #[test]
+    fn chained_advances_across_pages_match_fresh_freezes_and_live_paths(
+        base in 64usize..250,
+        tapes in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..30), 1..12),
+        pairs in prop::collection::vec((any::<u16>(), any::<u16>()), 1..8),
+    ) {
+        let mut g = generators::cycle(base);
+        let mut csr = FrozenCsr::from_graph(&g);
+        for (step, tape) in tapes.iter().enumerate() {
+            apply_ops(&mut g, tape);
+            csr = csr.advance(&g);
+            prop_assert_eq!(&csr, &FrozenCsr::from_graph(&g), "step {}", step);
+            let total = g.nodes_ever() as u32;
+            for &(a, b) in &pairs {
+                let (u, v) = (n(u32::from(a) % total), n(u32::from(b) % total));
+                prop_assert_eq!(
+                    csr.shortest_path(u, v),
+                    traversal::shortest_path(&g, u, v),
+                    "step {} path ({}, {})", step, u, v
+                );
+            }
+        }
+    }
 }

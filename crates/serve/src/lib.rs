@@ -27,8 +27,9 @@
 //!   pipelining.
 //! - [`mod@write`]: the master's writer thread — workers forward FGQ1
 //!   write ops (submit-event / submit-batch) as [`WriteJob`]s; the
-//!   writer runs apply → WAL log → fsync → publish (ordering asserted)
-//!   and acks with the post-publish `(epoch, digest)` stamp.
+//!   writer applies and stages every queued job, then runs one WAL
+//!   write → fsync → publish (ordering asserted) for the group and acks
+//!   each job with the `(epoch, digest)` stamp right after its events.
 //! - [`replica`]: a [`ReplicaNode`] ingesting a master's FGR1 WAL
 //!   stream ([`fg_store::repl`]) and republishing each synced epoch
 //!   into its own hub, so a read-only server answers with certificates

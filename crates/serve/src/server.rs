@@ -523,9 +523,10 @@ fn serve_write(
             } else {
                 crate::protocol::ResponseBody::BatchSubmitted(applied as u32)
             };
-            // The stamp on a write ack is the writer's post-publish
-            // (epoch, digest) — the state the write landed in, not
-            // whatever snapshot this worker could pin.
+            // The stamp on a write ack is the (epoch, digest) right
+            // after the job's own events — the state the write landed
+            // in, published before the writer replied — not whatever
+            // snapshot this worker could pin.
             let frame = Response::ok_frame(request_id, epoch, digest, &body);
             if stream.write_all(&frame).is_err() {
                 stats.disconnects.fetch_add(1, Ordering::Relaxed);

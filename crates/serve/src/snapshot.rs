@@ -307,34 +307,27 @@ impl<H: Persistable> Publisher<DurableHealer<H>> {
         Publisher::resume(durable, digest)
     }
 
-    /// The master's write path: apply → log → fsync (all inside the
-    /// durable healer's batch commit) → **then** publish. The ordering
-    /// is asserted, not just intended: publishing requires the serving
-    /// digest to equal the WAL's committed chain digest, so a snapshot
-    /// whose epoch is visible to readers is always backed by fsynced
-    /// WAL state.
+    /// Stages one write job on the master's write path: applies `events`
+    /// through the durable healer, which stages their WAL records
+    /// ([`DurableHealer::stage_batch`]), and folds their outcomes into the
+    /// serving digest. Nothing is durable or visible to readers until
+    /// [`commit_and_publish`](Publisher::commit_and_publish); the writer
+    /// stages every queued job before that one commit. The job's own
+    /// stamp is the healer's epoch and [`digest`](Publisher::digest) right
+    /// after this call.
     ///
     /// Unlike [`Publisher::apply_and_publish`] (whose in-memory healer
     /// has no authoritative chain to fall back on), an engine error
     /// does not fold a divergence sentinel: the WAL chain over the
-    /// applied-and-logged prefix *is* the truth, and the serving digest
-    /// resynchronizes to it before the prefix is published.
+    /// applied-and-staged prefix *is* the truth, and the serving digest
+    /// resynchronizes to it.
     ///
     /// # Errors
     ///
-    /// The healer's [`EngineError`]; the applied prefix is durable and
-    /// published.
-    ///
-    /// # Panics
-    ///
-    /// If the serving digest chain ever disagrees with the WAL's
-    /// committed chain at a publish point — that would mean an epoch
-    /// was about to be served that committed history cannot certify.
-    pub fn apply_log_publish(
-        &mut self,
-        events: &[NetworkEvent],
-    ) -> Result<BatchReport, EngineError> {
-        let result = self.healer.apply_batch(events);
+    /// The healer's [`EngineError`]; the applied prefix is staged, and is
+    /// durable and published with the rest at the commit.
+    pub fn stage(&mut self, events: &[NetworkEvent]) -> Result<BatchReport, EngineError> {
+        let result = self.healer.stage_batch(events);
         match &result {
             Ok(report) => {
                 for outcome in &report.outcomes {
@@ -342,10 +335,31 @@ impl<H: Persistable> Publisher<DurableHealer<H>> {
                 }
             }
             Err(_) => {
-                // The WAL logged exactly the applied prefix; its chain
-                // is authoritative for what readers may now see.
+                // The healer staged exactly the applied prefix; its chain
+                // is authoritative for what readers may see after the
+                // commit.
                 self.digest = self.healer.chain_digest();
             }
+        }
+        result
+    }
+
+    /// Commits everything staged since the last commit — one WAL write and
+    /// one fsync — and **then** publishes the healer's state. The ordering
+    /// is asserted, not just intended: publishing requires the serving
+    /// digest to equal the WAL's committed chain digest, so a snapshot
+    /// whose epoch is visible to readers is always backed by fsynced WAL
+    /// state.
+    ///
+    /// # Panics
+    ///
+    /// If the WAL write or fsync fails (acknowledging the staged jobs
+    /// would be a lie), or if the serving digest chain disagrees with the
+    /// WAL's committed chain — that would mean an epoch was about to be
+    /// served that committed history cannot certify.
+    pub fn commit_and_publish(&mut self) {
+        if let Err(err) = self.healer.sync() {
+            panic!("durability write failed — refusing to acknowledge un-logged events: {err}");
         }
         assert_eq!(
             self.digest,
@@ -354,6 +368,26 @@ impl<H: Persistable> Publisher<DurableHealer<H>> {
              the committed WAL chain"
         );
         self.publish();
+    }
+
+    /// The master's write path for one job: [`stage`](Publisher::stage)
+    /// then [`commit_and_publish`](Publisher::commit_and_publish) — apply
+    /// → log → fsync → publish.
+    ///
+    /// # Errors
+    ///
+    /// The healer's [`EngineError`]; the applied prefix is durable and
+    /// published.
+    ///
+    /// # Panics
+    ///
+    /// As [`commit_and_publish`](Publisher::commit_and_publish).
+    pub fn apply_log_publish(
+        &mut self,
+        events: &[NetworkEvent],
+    ) -> Result<BatchReport, EngineError> {
+        let result = self.stage(events);
+        self.commit_and_publish();
         result
     }
 }

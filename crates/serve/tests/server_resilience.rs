@@ -1,13 +1,16 @@
 //! Server-liveness regressions and the write path: a panicking
 //! connection must never take a worker (or the server) down, shutdown
-//! must complete behind a wildcard (`0.0.0.0`) bind, and FGQ1 write ops
+//! must complete behind a wildcard (`0.0.0.0`) bind, FGQ1 write ops
 //! must round-trip on a master / answer typed `NotMaster` refusals on a
-//! read-only server — in both cases leaving the connection usable.
+//! read-only server — in both cases leaving the connection usable — and
+//! writes queued behind the writer commit as one group yet are each
+//! acknowledged at their own epoch.
 
 use fg_core::{ForgivingGraph, NetworkEvent, SelfHealer};
 use fg_graph::{generators, NodeId};
 use fg_serve::{
     spawn_writer, Client, ErrorCode, Publisher, Request, ServeError, Server, ServerConfig,
+    WriteAck, WriteJob,
 };
 use fg_store::{DurableHealer, DurableOptions};
 use std::fs;
@@ -164,4 +167,132 @@ fn master_applies_writes_and_acks_with_post_apply_stamps() {
     assert_eq!(report.epoch, base_epoch + 3);
     drop(recovered);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Jobs queued behind the writer share one WAL write, fsync and
+/// publish, yet each is acknowledged with the stamp right after its own
+/// last event: the stamps a one-event-at-a-time in-memory replay
+/// reaches. A job failing midway answers an error with its applied
+/// prefix durable, and the log is byte-for-byte the one committing the
+/// jobs one at a time writes.
+#[test]
+fn queued_writes_commit_as_one_group_with_per_job_acks() {
+    let base = ForgivingGraph::from_graph(&generators::cycle(400)).unwrap();
+    let base_epoch = base.epoch();
+    let n = NodeId::new;
+    // The first job is long, so the others queue while the writer
+    // applies it. The third fails at its second event: node 7 is dead.
+    let jobs: Vec<Vec<NetworkEvent>> = vec![
+        (0..300u32)
+            .map(|i| match i % 3 {
+                0 => NetworkEvent::delete(n(200 + i / 3)),
+                _ => NetworkEvent::insert([n(i / 3), n(i / 3 + 1)]),
+            })
+            .collect(),
+        vec![
+            NetworkEvent::delete(n(7)),
+            NetworkEvent::insert([n(8), n(9)]),
+        ],
+        vec![
+            NetworkEvent::insert([n(10)]),
+            NetworkEvent::delete(n(7)),
+            NetworkEvent::insert([n(11)]),
+        ],
+        vec![NetworkEvent::delete(n(20))],
+        vec![
+            NetworkEvent::insert([n(21), n(30)]),
+            NetworkEvent::delete(n(30)),
+        ],
+    ];
+    let (failing, prefix) = (2, 1);
+
+    // The reference: every applied event, the failing job's prefix
+    // included, published one at a time by an in-memory publisher.
+    let mut reference = Publisher::new(base.clone());
+    let mut stamps = Vec::new();
+    for (j, events) in jobs.iter().enumerate() {
+        let applied = if j == failing { prefix } else { events.len() };
+        for event in &events[..applied] {
+            let _ = reference
+                .apply_and_publish(std::slice::from_ref(event))
+                .unwrap();
+        }
+        stamps.push((reference.hub().epoch(), reference.digest()));
+    }
+    let check = |j: usize, answer: Result<WriteAck, String>| match answer {
+        Ok(ack) => {
+            assert_ne!(j, failing);
+            assert_eq!(ack.applied, jobs[j].len(), "job {j}");
+            assert_eq!((ack.epoch, ack.digest), stamps[j], "job {j}");
+        }
+        Err(detail) => {
+            assert_eq!(j, failing, "job {j}: {detail}");
+            assert!(detail.starts_with("batch event #1"), "{detail}");
+        }
+    };
+
+    // Through the writer: queue every job at once. A failed job's error
+    // is what the server frames as `WriteFailed`.
+    let dir = temp_dir("group-commit");
+    let durable = DurableHealer::create(base.clone(), &dir, opts()).unwrap();
+    let (writer, writer_handle) = spawn_writer(Publisher::from_durable(durable), 16);
+    let replies: Vec<_> = jobs
+        .iter()
+        .map(|events| {
+            let (reply, answer) = channel();
+            let job = WriteJob {
+                events: events.clone(),
+                reply,
+            };
+            writer.send(job).unwrap();
+            answer
+        })
+        .collect();
+    for (j, answer) in replies.iter().enumerate() {
+        check(j, answer.recv().unwrap());
+    }
+    drop(writer);
+    let published = writer_handle.join().unwrap().hub().pin();
+    assert_eq!((published.epoch, published.digest), stamps[4]);
+
+    // The same jobs staged by hand into one commit: same stamps.
+    let staged_dir = temp_dir("group-commit-staged");
+    let durable = DurableHealer::create(base.clone(), &staged_dir, opts()).unwrap();
+    let mut publisher = Publisher::from_durable(durable);
+    let hub = publisher.hub();
+    for (j, events) in jobs.iter().enumerate() {
+        let answer = publisher.stage(events).map_err(|e| e.to_string());
+        check(
+            j,
+            answer.map(|report| WriteAck {
+                applied: report.outcomes.len(),
+                epoch: publisher.healer().epoch(),
+                digest: publisher.digest(),
+            }),
+        );
+        assert_eq!(hub.epoch(), base_epoch, "visible before the commit");
+    }
+    publisher.commit_and_publish();
+    assert_eq!((hub.pin().epoch, hub.pin().digest), stamps[4]);
+    drop(publisher);
+
+    // Committing the jobs one at a time writes the very same log.
+    let one_by_one = temp_dir("group-commit-one-by-one");
+    let mut durable = DurableHealer::create(base, &one_by_one, opts()).unwrap();
+    for (j, events) in jobs.iter().enumerate() {
+        assert_eq!(durable.apply_batch(events).is_err(), j == failing);
+    }
+    drop(durable);
+    let wal = |dir: &PathBuf| fs::read(fg_store::wal_path(dir, base_epoch)).unwrap();
+    assert_eq!(wal(&dir), wal(&one_by_one));
+    assert_eq!(wal(&staged_dir), wal(&one_by_one));
+
+    // Everything acked, the failed job's prefix included, recovers to
+    // the same chain.
+    for dir in [dir, staged_dir, one_by_one] {
+        let (recovered, report) = DurableHealer::<ForgivingGraph>::open(&dir, opts()).unwrap();
+        assert_eq!((report.epoch, recovered.chain_digest()), stamps[4]);
+        drop(recovered);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -311,9 +311,9 @@ impl<H: Persistable> DurableHealer<H> {
         self.snapshot_seq
     }
 
-    /// The certificate chain digest over every event logged so far —
-    /// the fold of [`chain_fold`] from [`CHAIN_BASE`] across the full
-    /// acknowledged history. A serving layer that stamps responses with
+    /// The certificate chain digest over every event logged or staged so
+    /// far — the fold of [`chain_fold`] from [`CHAIN_BASE`] across the
+    /// full acknowledged history. A serving layer that stamps responses with
     /// this value lets any client check a replica's answers against the
     /// master's committed history; recovery resumes it exactly (it is
     /// persisted in the manifest and re-folded over the replayed WAL
@@ -322,13 +322,53 @@ impl<H: Persistable> DurableHealer<H> {
         self.chain
     }
 
-    /// Forces staged records to disk with an fsync.
+    /// Forces staged records to disk with one write and one fsync — the
+    /// commit point of [`DurableHealer::stage_batch`].
     ///
     /// # Errors
     ///
     /// Any I/O failure.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         self.wal.sync()
+    }
+
+    /// Applies `events` in order and stages one WAL record per applied
+    /// event, the commit flag on the last — exactly the records
+    /// [`SelfHealer::apply_batch`] logs — but writes nothing: they reach
+    /// the file with the next [`DurableHealer::sync`], and the batch is
+    /// durable once that returns. `apply_batch` is this plus that sync, so
+    /// a writer that stages several batches and then syncs once writes
+    /// the same bytes as applying them one by one, in one write and one
+    /// fsync. An automatic checkpoint due after the batch still runs here,
+    /// writing out what is staged first.
+    ///
+    /// # Errors
+    ///
+    /// The first refused event's [`EngineError`], wrapped by
+    /// [`EngineError::at_event`]. Earlier events stay applied, and are
+    /// staged as a group of their own.
+    ///
+    /// # Panics
+    ///
+    /// If an automatic checkpoint fails (see [`DurableHealer`]).
+    pub fn stage_batch(&mut self, events: &[NetworkEvent]) -> Result<BatchReport, EngineError> {
+        let mut batch = BatchReport::new();
+        let mut records = Vec::with_capacity(events.len());
+        for (index, event) in events.iter().enumerate() {
+            match self.inner.apply_event(event) {
+                Ok(outcome) => {
+                    records.push(self.batch_record(event, outcome.digest()));
+                    batch.push(outcome);
+                }
+                Err(source) => {
+                    self.stage_group(records);
+                    return Err(EngineError::at_event(index, event, source));
+                }
+            }
+        }
+        self.stage_group(records);
+        self.auto_checkpoint();
+        Ok(batch)
     }
 
     /// Takes a checkpoint now: snapshot the engine, atomically repoint
@@ -374,22 +414,19 @@ impl<H: Persistable> DurableHealer<H> {
         self.auto_checkpoint();
     }
 
-    /// Appends a batch's records atomically: commit flag on the last
-    /// record, one write, one fsync (the batch's acknowledgement point).
-    fn log_batch(&mut self, mut records: Vec<WalRecord>) {
+    /// Stages a batch's records as one atomically recovered group: commit
+    /// flag on the last record. They reach the file, in one write and
+    /// one fsync, at the next [`DurableHealer::sync`].
+    fn stage_group(&mut self, mut records: Vec<WalRecord>) {
         let Some(last) = records.last_mut() else {
             return;
         };
         last.flags |= FLAG_COMMIT;
-        let n = records.len() as u64;
         for record in &records {
             self.wal.stage(record);
-        }
-        self.wal.sync().unwrap_or_else(Self::die);
-        for record in &records {
             self.chain = chain_fold(self.chain, record.digest);
         }
-        self.since_checkpoint += n;
+        self.since_checkpoint += records.len() as u64;
     }
 
     fn auto_checkpoint(&mut self) {
@@ -533,24 +570,10 @@ impl<H: Persistable> SelfHealer for DurableHealer<H> {
     }
 
     fn apply_batch(&mut self, events: &[NetworkEvent]) -> Result<BatchReport, EngineError> {
-        let mut batch = BatchReport::new();
-        let mut records = Vec::with_capacity(events.len());
-        for (index, event) in events.iter().enumerate() {
-            match self.inner.apply_event(event) {
-                Ok(outcome) => {
-                    records.push(self.batch_record(event, outcome.digest()));
-                    batch.push(outcome);
-                }
-                Err(source) => {
-                    // "Earlier events stay applied" — so the applied
-                    // prefix must also be durable before we report.
-                    self.log_batch(records);
-                    return Err(EngineError::at_event(index, event, source));
-                }
-            }
-        }
-        self.log_batch(records);
-        self.auto_checkpoint();
-        Ok(batch)
+        // "Earlier events stay applied" — so the applied prefix of a
+        // failed batch is made durable before the error is reported too.
+        let result = self.stage_batch(events);
+        self.sync().unwrap_or_else(Self::die);
+        result
     }
 }

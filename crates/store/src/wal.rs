@@ -339,12 +339,15 @@ impl WalWriter {
     }
 
     /// Flushes staged records and forces an fsync regardless of the
-    /// batching threshold.
+    /// batching threshold; a no-op when every record is already synced.
     ///
     /// # Errors
     ///
     /// Any I/O failure.
     pub fn sync(&mut self) -> Result<(), StoreError> {
+        if self.unsynced == 0 {
+            return Ok(());
+        }
         if !self.staged.is_empty() {
             self.file.write_all(&self.staged)?;
             self.staged.clear();

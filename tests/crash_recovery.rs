@@ -35,8 +35,8 @@ fn load(name: &str) -> (Scenario, Vec<u64>) {
     let digests =
         std::fs::read_to_string(dir.join(format!("{name}.digests"))).expect("golden digests");
     (
-        Scenario::read_trace(name, &trace),
-        parse_digest_file(&digests),
+        Scenario::read_trace(name, &trace).expect("golden trace parses"),
+        parse_digest_file(&digests).expect("golden digest file parses"),
     )
 }
 

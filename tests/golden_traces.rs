@@ -54,8 +54,8 @@ fn load(name: &str) -> (Scenario, Vec<u64>) {
     let digests = std::fs::read_to_string(dir.join(format!("{name}.digests")))
         .unwrap_or_else(|e| panic!("missing golden digests {name}.digests: {e}"));
     (
-        Scenario::read_trace(name, &trace),
-        parse_digest_file(&digests),
+        Scenario::read_trace(name, &trace).expect("golden trace parses"),
+        parse_digest_file(&digests).expect("golden digest file parses"),
     )
 }
 
@@ -161,8 +161,8 @@ fn load_queries(name: &str) -> (Scenario, Vec<u64>) {
     let digests = std::fs::read_to_string(dir.join(format!("{name}.queries")))
         .unwrap_or_else(|e| panic!("missing golden query digests {name}.queries: {e}"));
     (
-        Scenario::read_trace(name, &trace),
-        parse_digest_file(&digests),
+        Scenario::read_trace(name, &trace).expect("golden trace parses"),
+        parse_digest_file(&digests).expect("golden digest file parses"),
     )
 }
 
