@@ -71,21 +71,6 @@ pub fn run_attack(
     Ok(log)
 }
 
-/// Replays a recorded event sequence against a healer — used to subject
-/// different healers (or the distributed engine) to the *same* attack —
-/// returning the per-op outcomes and aggregates.
-///
-/// # Errors
-///
-/// The first engine error, wrapped as [`EngineError::AtEvent`] with the
-/// index of the failing event.
-pub fn replay(
-    healer: &mut dyn SelfHealer,
-    events: &[NetworkEvent],
-) -> Result<BatchReport, EngineError> {
-    healer.apply_batch(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,7 +108,7 @@ mod tests {
         let log = run_attack(&mut a, &mut adv, 100).unwrap();
 
         let mut b = ForgivingGraph::from_graph(&generators::grid(3, 3)).unwrap();
-        let replayed = replay(&mut b, &log.events).unwrap();
+        let replayed = b.apply_batch(&log.events).unwrap();
         assert_eq!(a, b);
         // Replaying produces the exact same typed outcomes.
         assert_eq!(replayed, log.report);
@@ -136,7 +121,7 @@ mod tests {
             NetworkEvent::delete(NodeId::new(1)),
             NetworkEvent::delete(NodeId::new(1)),
         ];
-        let err = replay(&mut fg, &events).unwrap_err();
+        let err = fg.apply_batch(&events).unwrap_err();
         match err {
             EngineError::AtEvent { index, .. } => assert_eq!(index, 1),
             other => panic!("expected AtEvent, got {other:?}"),

@@ -29,7 +29,7 @@
 mod driver;
 mod strategies;
 
-pub use driver::{replay, run_attack, AttackLog};
+pub use driver::{run_attack, AttackLog};
 pub use strategies::{
     articulation_points, Adversary, AttackView, ChurnAdversary, Composite, CutPointDeleter,
     MaxDegreeDeleter, PreferentialInserter, RandomDeleter, StarSmash,

@@ -10,7 +10,8 @@
 //!   space (see [`NoHealer`] and friends).
 //!
 //! The E4/E5/E9 experiments run every healer under identical attack
-//! traces via `fg_adversary::replay` and tabulate the paper's metrics.
+//! traces via [`fg_core::SelfHealer::apply_batch`] and tabulate the
+//! paper's metrics.
 //!
 //! ## Example
 //!

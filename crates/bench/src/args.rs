@@ -15,8 +15,9 @@
 //! `--name value` pairs in any order. `--help` (or `-h`) prints a usage
 //! line listing the accepted flags and exits 0. Input errors never
 //! panic: a malformed argument list, an unknown flag, a missing required
-//! flag, an unparsable value or a `--json` path in a directory that does
-//! not exist prints the error and the usage line to stderr and exits
+//! flag, an unparsable value or an output path (`--json`, or a flag the
+//! binary checks with [`BenchArgs::check_outputs`]) in a directory that
+//! does not exist prints the error and the usage line to stderr and exits
 //! with status 2 ([`BenchArgs::fail`]), before the run starts.
 
 use crate::json::Json;
@@ -79,19 +80,39 @@ impl BenchArgs {
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
             parsed.flags.push((name, value));
         }
-        if let Some(path) = parsed.json_path() {
+        parsed.output_dirs_exist(&["json"])?;
+        Ok(parsed)
+    }
+
+    /// Checks that every named flag that was given names a file in a
+    /// directory that exists (a bare file name lands in the current
+    /// directory); the check `--json` gets at parse time.
+    fn output_dirs_exist(&self, names: &[&str]) -> Result<(), String> {
+        for &name in names {
+            let Some(path) = self.raw(name) else {
+                continue;
+            };
             let dir = Path::new(path)
                 .parent()
                 .filter(|dir| !dir.as_os_str().is_empty())
                 .unwrap_or(Path::new("."));
             if !dir.is_dir() {
                 return Err(format!(
-                    "--json {path:?}: directory {} does not exist",
+                    "--{name} {path:?}: directory {} does not exist",
                     dir.display()
                 ));
             }
         }
-        Ok(parsed)
+        Ok(())
+    }
+
+    /// Gives the binary's own output-path flags `names` the `--json`
+    /// check: a path in a directory that does not exist is an input
+    /// error ([`BenchArgs::fail`]). Call it before the run starts.
+    pub fn check_outputs(&self, names: &[&str]) {
+        if let Err(e) = self.output_dirs_exist(names) {
+            self.fail(&e);
+        }
     }
 
     /// No flags given yet; the shared flags and `own` are accepted.

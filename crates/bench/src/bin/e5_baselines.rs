@@ -5,7 +5,7 @@
 //! Runs a recorded random-deletion attack against every healer and
 //! tabulates connectivity, stretch, degree blow-up and diameter.
 
-use fg_adversary::{replay, run_attack, RandomDeleter};
+use fg_adversary::{run_attack, RandomDeleter};
 use fg_baselines::{
     BinaryTreeHealer, CliqueHealer, CycleHealer, ForgivingTree, NoHealer, StarHealer,
 };
@@ -62,7 +62,9 @@ fn main() {
     ]);
 
     for healer in &mut healers {
-        let _ = replay(healer.as_mut(), &log.events).expect("same trace is legal");
+        let _ = healer
+            .apply_batch(&log.events)
+            .expect("same trace is legal");
         let summary = measure(healer.as_ref());
         table.push_row([
             summary.healer.to_string(),

@@ -9,10 +9,10 @@
 //! The preprocessing column shows the PODC 2008 `O(n log n)` set-up cost
 //! against the Forgiving Graph's zero.
 
-use fg_adversary::{replay, run_attack, ChurnAdversary};
+use fg_adversary::{run_attack, ChurnAdversary};
 use fg_baselines::ForgivingTree;
 use fg_bench::BenchArgs;
-use fg_core::ForgivingGraph;
+use fg_core::{ForgivingGraph, SelfHealer};
 use fg_graph::generators;
 use fg_metrics::{f2, measure_sampled, Table};
 
@@ -43,7 +43,7 @@ fn main() {
         fg.check_invariants().expect("invariants hold");
 
         let mut ft = ForgivingTree::from_graph(&g);
-        let _ = replay(&mut ft, &log.events).expect("same trace is legal");
+        let _ = ft.apply_batch(&log.events).expect("same trace is legal");
 
         for (init, summary) in [
             (0u64, measure_sampled(&fg, 64, seed.wrapping_sub(26))),

@@ -27,7 +27,8 @@
 //! Shared flags: `--workload churn --n 256 --events 4000 --seed 41
 //! --batch 32` — both roles must agree so the trace is identical.
 //! `--role`, `--dir`, `--ports` and `--golden` are required; a missing
-//! or unknown one exits 2 with usage.
+//! or unknown one, or a master's `--ports` or `--golden` in a directory
+//! that does not exist, exits 2 with usage before any work.
 
 use fg_bench::json::Json;
 use fg_bench::{scenario, write_artifact, BenchArgs};
@@ -84,6 +85,7 @@ fn master(args: &BenchArgs) {
     let dir = args.required("dir");
     let ports = args.required("ports");
     let golden = args.required("golden");
+    args.check_outputs(&["ports", "golden"]);
     let (initial, events) = trace(args);
     let to = args.get("to", events.len()).min(events.len());
     let batch = args.get("batch", 32usize).max(1);

@@ -23,12 +23,9 @@
 //! `--query-seed <u64>` / `--query-hot <k>` (the mixed read workload),
 //! `--profile 1` (per-phase wall times — insert/gather/strip/plan/merge
 //! on the write side, freeze/query buckets on the read side —
-//! into a `profile` JSON section), `--compact 0` (run the engine
-//! backend without its default arena [`CompactionPolicy`], for the
-//! uncompacted comparison; the post-run arena occupancy is recorded
-//! either way),
-//! `--trace-out <path>` (dump the trace; `recover_trace --trace` replays
-//! it through the durable store), plus the
+//! into a `profile` JSON section), `--trace-out <path>` (dump the
+//! trace; `recover_trace --trace` replays it through the durable store;
+//! like `--json`, a path in a missing directory exits 2), plus the
 //! shared `--seed` / `--scale` / `--json <path>`. `--help` prints usage.
 //! The durable write path is measured end to end by the repo benchmark's
 //! `write-ack` workload (`perfbench`), not here.
@@ -38,20 +35,17 @@ use fg_bench::{
     scenario, write_artifact, BenchArgs, QueryStats, QueryWorkload, RunResult, Scenario,
     ScenarioRunner,
 };
-use fg_core::{
-    CompactionPolicy, EngineStats, ForgivingGraph, PhaseTimes, PlacementPolicy, SelfHealer,
-};
+use fg_core::{ForgivingGraph, PhaseTimes, PlacementPolicy, SelfHealer};
 use fg_dist::DistHealer;
 use fg_metrics::{f2, Table};
 
 /// Everything one backend replay produced: the write-side result, the
-/// read-side stats (mixed runs), the per-phase wall times (`--profile`)
-/// and the healer's lifetime counters (arena occupancy).
+/// read-side stats (mixed runs) and the per-phase wall times
+/// (`--profile`).
 struct BackendRun {
     result: RunResult,
     queries: Option<QueryStats>,
     phases: Option<PhaseTimes>,
-    stats: Option<EngineStats>,
 }
 
 /// One backend replay: with `profile` on, the healer accumulates
@@ -83,7 +77,6 @@ fn run_backend(
         result,
         queries,
         phases: healer.phase_times(),
-        stats: healer.lifetime_stats(),
     }
 }
 
@@ -126,7 +119,6 @@ fn main() {
         "events",
         "batch",
         "backend",
-        "compact",
         "profile",
         "trace-out",
         "queries",
@@ -149,7 +141,7 @@ fn main() {
     let host_cpus = fg_bench::host_cpus();
     let workload = args.query_workload(seed.wrapping_add(0x9e37));
     let profile = args.get("profile", 0usize) != 0;
-    let compact = (args.get("compact", 1usize) != 0).then(CompactionPolicy::default);
+    args.check_outputs(&["trace-out"]);
 
     let runner = ScenarioRunner::new(batch);
     let mut table = Table::new(
@@ -189,7 +181,6 @@ fn main() {
         let mut runs: Vec<BackendRun> = Vec::new();
         if backend == "engine" || backend == "both" {
             let mut fg = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
-            fg.set_compaction(compact);
             runs.push(run_backend(
                 &runner,
                 &sc,
@@ -253,11 +244,6 @@ fn main() {
         .field("batch", Json::Int(batch as i64))
         .field("seed", Json::Int(seed as i64))
         .field("host_cpus", Json::Int(host_cpus as i64));
-    if let Some(policy) = &compact {
-        config = config
-            .field("compact_min_density", Json::Float(policy.min_density))
-            .field("compact_min_slots", Json::Int(policy.min_slots as i64));
-    }
     if profile {
         config = config.field("profile", Json::Int(1));
     }
@@ -284,16 +270,6 @@ fn main() {
                     let mut obj = run.result.to_json();
                     if let Some(q) = &run.queries {
                         obj = obj.field("queries", q.to_json());
-                    }
-                    if let Some(s) = &run.stats {
-                        obj = obj.field(
-                            "arena",
-                            Json::obj()
-                                .field("live", Json::Int(s.arena_live as i64))
-                                .field("slots", Json::Int(s.arena_slots as i64))
-                                .field("density", Json::Float(s.arena_density()))
-                                .field("compactions", Json::Int(s.compactions as i64)),
-                        );
                     }
                     obj
                 })

@@ -101,8 +101,8 @@ fn unknown_flags_are_rejected() {
 
 #[test]
 fn bad_input_exits_2_with_usage() {
-    let (trace, _, _) = fixture("bad");
-    let trace = trace.to_str().unwrap();
+    let (trace_path, _, _) = fixture("bad");
+    let trace = trace_path.to_str().unwrap();
     let missing = std::env::temp_dir().join(format!("fg-no-such-dir-{}", std::process::id()));
     let missing = |file: &str| missing.join(file).to_str().unwrap().to_string();
     refused(REPL_NODE, &["--n", "16"], "--role is required");
@@ -127,6 +127,31 @@ fn bad_input_exits_2_with_usage() {
     );
     let e7 = env!("CARGO_BIN_EXE_e7_merge_addition");
     refused(e7, &["--json", &missing("x.json")], "does not exist");
+    let trace_out = missing("x.trace");
+    let dump = ["--n", "16", "--events", "10", "--trace-out", &trace_out];
+    refused(THROUGHPUT, &dump, "--trace-out");
+    // The master checks --ports before it creates its store.
+    let tmp = trace_path.parent().unwrap();
+    let (store, golden) = (tmp.join("master-store"), tmp.join("g.txt"));
+    let ports = missing("ports.txt");
+    let master = [
+        "--role",
+        "master",
+        "--n",
+        "16",
+        "--events",
+        "40",
+        "--dir",
+        store.to_str().unwrap(),
+        "--to",
+        "20",
+        "--ports",
+        &ports,
+        "--golden",
+        golden.to_str().unwrap(),
+    ];
+    refused(REPL_NODE, &master, "--ports");
+    assert!(!store.exists(), "the master created its store first");
 }
 
 #[test]

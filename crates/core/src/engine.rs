@@ -34,41 +34,6 @@ pub enum PlacementPolicy {
     Adjacent,
 }
 
-/// When to compact the forest arena (on by default with
-/// [`CompactionPolicy::default`]; see [`ForgivingGraph::set_compaction`]).
-///
-/// The arena tombstones freed virtual nodes and never reuses their slots,
-/// so under churn the live/ever slot ratio ([`EngineStats::arena_density`])
-/// decays toward zero. With a policy installed, the engine compacts at the
-/// end of any repair that leaves the density at or below `min_density`
-/// (once the arena has at least `min_slots` slots), restoring density 1.0.
-/// Each slot is moved at most once per halving, so the amortised cost per
-/// freed node is O(1) and the post-repair density always exceeds
-/// `min_density`.
-///
-/// Compaction is observably invisible: virtual nodes address each other by
-/// [`VKey`], never by arena slot, and [`Forest`] equality ignores slot
-/// layout — golden-trace digests are bit-identical with and without it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CompactionPolicy {
-    /// Compact when `forest.len() / forest.slots_ever()` is at or below
-    /// this (default 0.5: compact once half the slots are tombstones).
-    pub min_density: f64,
-    /// Leave arenas smaller than this alone (default 64): tiny arenas
-    /// aren't worth the move, and the density bound is meaningless at
-    /// n ≈ 1.
-    pub min_slots: usize,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy {
-            min_density: 0.5,
-            min_slots: 64,
-        }
-    }
-}
-
 /// Cumulative per-phase wall-clock seconds, filled in while profiling is
 /// on (see [`ForgivingGraph::enable_profiling`]).
 ///
@@ -81,8 +46,7 @@ impl Default for CompactionPolicy {
 ///   and minting the fresh singleton leaves;
 /// * `plan` — bucketing fragments at their BT_v anchors and detaching the
 ///   victim from the image;
-/// * `merge` — the bottom-up BT_v merge (plus any arena compaction it
-///   triggers);
+/// * `merge` — the bottom-up BT_v merge;
 /// * `insert` — whole insertions (no healing, so one phase).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimes {
@@ -148,9 +112,6 @@ pub struct ForgivingGraph {
     pub(crate) image: ImageGraph,
     pub(crate) policy: PlacementPolicy,
     pub(crate) stats: EngineStats,
-    /// Arena-compaction policy (the default policy unless changed);
-    /// `None` never compacts.
-    pub(crate) compaction: Option<CompactionPolicy>,
     /// Per-phase wall-time accumulator; `None` (the default) keeps the
     /// hot path free of clock reads.
     pub(crate) profile: Option<PhaseTimes>,
@@ -158,9 +119,7 @@ pub struct ForgivingGraph {
 
 /// Logical-state equality: two engines are equal when they healed to the
 /// same network — ghost, alive set, forest, image, policy and counters.
-/// Telemetry (`profile`) and configuration that cannot change behaviour
-/// (`compaction`) are excluded, as are arena gauges (see
-/// [`EngineStats`]'s own `PartialEq`).
+/// Telemetry (`profile`) is excluded.
 impl PartialEq for ForgivingGraph {
     fn eq(&self, other: &Self) -> bool {
         self.ghost == other.ghost
@@ -187,26 +146,8 @@ impl ForgivingGraph {
             image: ImageGraph::new(),
             policy,
             stats: EngineStats::default(),
-            compaction: Some(CompactionPolicy::default()),
             profile: None,
         }
-    }
-
-    /// Installs (or removes, with `None`) the arena-compaction policy.
-    ///
-    /// Every engine starts with [`CompactionPolicy::default`]: without
-    /// it the arena keeps every tombstoned slot, so a long-running
-    /// engine's memory grows with every event it ever applied. `None`
-    /// restores append-only allocation. Compaction changes only memory
-    /// layout, never outcomes — repairs, reports and query answers are
-    /// bit-identical either way.
-    pub fn set_compaction(&mut self, policy: Option<CompactionPolicy>) {
-        self.compaction = policy;
-    }
-
-    /// The active arena-compaction policy, if any.
-    pub fn compaction(&self) -> Option<CompactionPolicy> {
-        self.compaction
     }
 
     /// Starts accumulating per-phase wall times ([`PhaseTimes`]) from
@@ -238,21 +179,6 @@ impl ForgivingGraph {
                 Phase::Merge => times.merge += secs,
             }
         }
-    }
-
-    /// Compacts the forest arena if the policy says so, then refreshes
-    /// the arena gauges. Called at the end of every repair.
-    fn maybe_compact(&mut self) {
-        if let Some(policy) = self.compaction {
-            let live = self.forest.len();
-            let slots = self.forest.slots_ever();
-            if slots >= policy.min_slots && live as f64 <= policy.min_density * slots as f64 {
-                self.forest.compact();
-                self.stats.compactions += 1;
-            }
-        }
-        self.stats.arena_live = self.forest.len() as u64;
-        self.stats.arena_slots = self.forest.slots_ever() as u64;
     }
 
     /// Adopts an existing network as `G_0`.
@@ -566,7 +492,6 @@ impl ForgivingGraph {
 
         self.stats.deletes += 1;
         self.stats.btv_rounds += u64::from(btv_rounds);
-        self.maybe_compact();
         self.lap(&mut clock, Phase::Merge);
         let after = self.stats;
         Ok(RepairReport {

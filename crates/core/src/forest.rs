@@ -9,22 +9,15 @@
 //!
 //! ## Storage
 //!
-//! Virtual nodes live in a flat **arena** (`Vec<Option<VNode>>`): a node is
-//! created by appending a slot and removed by tombstoning it (`None`).
-//! Slots are never reused, so between compactions a living node's arena
-//! index is stable — mirroring the workspace-wide rule that
-//! [`fg_graph::NodeId`]s are never reused. The owner runs
-//! [`Forest::compact`] at quiescent points to reclaim the tombstones; the
-//! engine does so by default once half the arena is dead (see
-//! [`crate::CompactionPolicy`]). Arena indices are a private storage
-//! detail, so the remap is observably invisible — see DESIGN.md §12.
-//! Keys resolve to slots
-//! through a per-owner sorted index (owners are dense ids), so a lookup is
-//! one `Vec` access plus a binary search over that owner's handful of
-//! virtual nodes, and iterating owners in order and each bucket in
-//! [`crate::slot::LocalKey`] order visits keys in exactly the global
-//! [`VKey`] order — the same order the `BTreeMap` it replaced produced,
-//! which keeps every replay bit-identical (DESIGN.md §7).
+//! Each owner's virtual nodes live in one sorted map keyed by
+//! [`crate::slot::LocalKey`], as each `fg-dist` processor keeps its own;
+//! owners are dense ids, so the maps sit in a `Vec` indexed by owner. A
+//! lookup is one `Vec` access plus a binary search over that owner's
+//! handful of virtual nodes, and iterating owners in order and each map
+//! in `LocalKey` order visits keys in exactly the global [`VKey`] order,
+//! which keeps every replay bit-identical (DESIGN.md §7). When an
+//! owner's last node goes, its map is replaced by an empty one, so a
+//! deleted processor gives its allocation back.
 //!
 //! Structure invariants maintained here (checked by [`Forest::validate`]):
 //!
@@ -79,24 +72,21 @@ impl VNode {
     }
 }
 
-/// The forest of all living virtual nodes, keyed by [`VKey`] and stored in
-/// a tombstoned arena (see the module docs).
+/// The forest of all living virtual nodes, keyed by [`VKey`] and stored
+/// per owner (see the module docs).
 ///
 /// Mutation goes through narrow primitives so that the engine can mirror
 /// every structural edge change into the image graph.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Forest {
-    /// Slot storage; `None` is a tombstone. Slots are never reused, and
-    /// move only under an explicit [`Forest::compact`].
-    arena: Vec<Option<VNode>>,
-    /// Per-owner sorted key → arena-slot index.
-    index: Vec<SortedMap<LocalKey, u32>>,
-    /// Number of living nodes (non-tombstone slots).
+    /// Per-owner nodes in [`LocalKey`] order, indexed by owner id.
+    owners: Vec<SortedMap<LocalKey, VNode>>,
+    /// Number of living nodes across all owners.
     live: usize,
 }
 
 /// Forests are equal when they hold the same living `(key, node)` pairs;
-/// arena tombstone layout (an artifact of allocation history) is ignored.
+/// how many owner maps were ever allocated is ignored.
 impl PartialEq for Forest {
     fn eq(&self, other: &Self) -> bool {
         self.live == other.live && self.iter().eq(other.iter())
@@ -121,33 +111,16 @@ impl Forest {
         self.live == 0
     }
 
-    /// Current arena extent: slots allocated and not yet reclaimed by a
-    /// [`Forest::compact`], including tombstones. Grows monotonically
-    /// between compactions; `len() / slots_ever()` is the live density
-    /// the compaction policy watches.
-    pub fn slots_ever(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// The arena slot currently backing `key`, if it is alive. Stable for
-    /// the whole lifetime of the node unless the owner runs an explicit
-    /// [`Forest::compact`].
-    pub fn slot_of(&self, key: VKey) -> Option<u32> {
-        self.index
-            .get(key.owner().index())
-            .and_then(|bucket| bucket.get(&key.local()))
-            .copied()
-    }
-
     /// Whether `key` names a living virtual node.
     pub fn contains(&self, key: VKey) -> bool {
-        self.slot_of(key).is_some()
+        self.get(key).is_some()
     }
 
     /// Borrows a node.
     pub fn get(&self, key: VKey) -> Option<&VNode> {
-        self.slot_of(key)
-            .and_then(|slot| self.arena[slot as usize].as_ref())
+        self.owners
+            .get(key.owner().index())
+            .and_then(|nodes| nodes.get(&key.local()))
     }
 
     /// Node lookup that panics with context on a dangling key — internal
@@ -158,33 +131,28 @@ impl Forest {
     }
 
     fn node_mut(&mut self, key: VKey) -> &mut VNode {
-        match self.slot_of(key) {
-            Some(slot) => self.arena[slot as usize]
-                .as_mut()
-                .unwrap_or_else(|| panic!("tombstoned virtual node {key}")),
-            None => panic!("dangling virtual node {key}"),
-        }
+        self.owners
+            .get_mut(key.owner().index())
+            .and_then(|nodes| nodes.get_mut(&key.local()))
+            .unwrap_or_else(|| panic!("dangling virtual node {key}"))
     }
 
     /// Iterates over `(key, node)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (VKey, &VNode)> {
-        self.index.iter().enumerate().flat_map(move |(i, bucket)| {
+        self.owners.iter().enumerate().flat_map(|(i, nodes)| {
             let owner = fg_graph::NodeId::new(i as u32);
-            bucket.iter().map(move |(&local, &slot)| {
-                let node = self.arena[slot as usize]
-                    .as_ref()
-                    .expect("index entries point at living slots");
-                (VKey::from_local(owner, local), node)
-            })
+            nodes
+                .iter()
+                .map(move |(&local, node)| (VKey::from_local(owner, local), node))
         })
     }
 
     /// All virtual nodes owned by one processor, in key order.
     pub fn keys_of_owner(&self, owner: fg_graph::NodeId) -> Vec<VKey> {
-        self.index
+        self.owners
             .get(owner.index())
-            .map(|bucket| {
-                bucket
+            .map(|nodes| {
+                nodes
                     .keys()
                     .map(|&local| VKey::from_local(owner, local))
                     .collect()
@@ -192,30 +160,30 @@ impl Forest {
             .unwrap_or_default()
     }
 
-    /// Appends a fresh arena slot for `key`'s node and indexes it.
+    /// Stores `key`'s node in its owner's map.
     ///
     /// # Panics
     ///
     /// Panics if `key` is already alive.
     fn alloc(&mut self, key: VKey, node: VNode) {
         let owner = key.owner().index();
-        if self.index.len() <= owner {
-            self.index.resize_with(owner + 1, SortedMap::new);
+        if self.owners.len() <= owner {
+            self.owners.resize_with(owner + 1, SortedMap::new);
         }
-        let slot = self.arena.len() as u32;
-        let prev = self.index[owner].insert(key.local(), slot);
+        let prev = self.owners[owner].insert(key.local(), node);
         assert!(prev.is_none(), "{key} already exists");
-        self.arena.push(Some(node));
         self.live += 1;
     }
 
-    /// Tombstones `key`'s arena slot and unindexes it.
+    /// Drops `key`'s node; an owner whose last node goes gets a fresh
+    /// empty map, releasing the old one's capacity.
     fn free(&mut self, key: VKey) {
-        let slot = self
-            .slot_of(key)
-            .unwrap_or_else(|| panic!("freeing dangling virtual node {key}"));
-        self.index[key.owner().index()].remove(&key.local());
-        self.arena[slot as usize] = None;
+        let nodes = &mut self.owners[key.owner().index()];
+        let removed = nodes.remove(&key.local());
+        assert!(removed.is_some(), "freeing dangling virtual node {key}");
+        if nodes.is_empty() {
+            *nodes = SortedMap::new();
+        }
         self.live -= 1;
     }
 
@@ -296,7 +264,7 @@ impl Forest {
         self.node_mut(child).parent = None;
     }
 
-    /// Removes an isolated node from the forest (tombstoning its slot).
+    /// Removes an isolated node from the forest.
     ///
     /// # Panics
     ///
@@ -371,81 +339,6 @@ impl Forest {
         panic!("tree at {root} has no free leaf (representative invariant broken)");
     }
 
-    /// Compacts the arena: slides every living node left (preserving
-    /// relative slot order), truncates the tombstone tail, and rewrites
-    /// the index through the slot remap. Returns the number of slots
-    /// reclaimed.
-    ///
-    /// Safe to run at any quiescent point because arena indices are a
-    /// private storage detail: [`VNode`]s reference each other through
-    /// [`VKey`]s and [`Slot`]s (never slot indices), every external
-    /// lookup goes through the index, and [`PartialEq`] already ignores
-    /// tombstone layout — so compaction is observably invisible to the
-    /// repair algorithm, the image, and every digest (DESIGN.md §12).
-    /// Only [`Forest::slots_ever`] and the slots reported by
-    /// [`Forest::slot_of`] change.
-    pub fn compact(&mut self) -> usize {
-        let before = self.arena.len();
-        let mut remap = vec![u32::MAX; before];
-        let mut write = 0usize;
-        for (read, slot) in remap.iter_mut().enumerate() {
-            if self.arena[read].is_some() {
-                *slot = write as u32;
-                if read != write {
-                    self.arena[write] = self.arena[read].take();
-                }
-                write += 1;
-            }
-        }
-        self.arena.truncate(write);
-        for bucket in &mut self.index {
-            for (_, slot) in bucket.iter_mut() {
-                *slot = remap[*slot as usize];
-            }
-        }
-        before - write
-    }
-
-    /// Distance in tree edges between two keys of the same tree.
-    ///
-    /// Used by tests and the E8 experiment to check the
-    /// `2·⌈log₂ d⌉` neighbour-distance bound inside one RT.
-    pub fn tree_distance(&self, a: VKey, b: VKey) -> Option<u32> {
-        if a == b {
-            return Some(0);
-        }
-        let mut depth_a = self.depth_of(a);
-        let mut depth_b = self.depth_of(b);
-        let (mut ka, mut kb) = (a, b);
-        let mut dist = 0;
-        while depth_a > depth_b {
-            ka = self.node(ka).parent?;
-            depth_a -= 1;
-            dist += 1;
-        }
-        while depth_b > depth_a {
-            kb = self.node(kb).parent?;
-            depth_b -= 1;
-            dist += 1;
-        }
-        while ka != kb {
-            ka = self.node(ka).parent?;
-            kb = self.node(kb).parent?;
-            dist += 2;
-        }
-        Some(dist)
-    }
-
-    fn depth_of(&self, key: VKey) -> u32 {
-        let mut d = 0;
-        let mut cur = key;
-        while let Some(p) = self.node(cur).parent {
-            cur = p;
-            d += 1;
-        }
-        d
-    }
-
     /// Verifies every structural invariant; returns a description of the
     /// first violation.
     ///
@@ -453,25 +346,9 @@ impl Forest {
     ///
     /// Returns a human-readable violation message.
     pub fn validate(&self) -> Result<(), String> {
-        // Arena/index consistency: the index covers exactly the living
-        // slots, each exactly once.
-        let mut seen = vec![false; self.arena.len()];
-        let mut indexed = 0usize;
-        for (key, _) in self.iter() {
-            let slot = self.slot_of(key).expect("iterated keys are indexed") as usize;
-            if seen[slot] {
-                return Err(format!("arena slot {slot} indexed twice"));
-            }
-            seen[slot] = true;
-            indexed += 1;
-        }
-        if indexed != self.live {
-            return Err(format!("live count {} but {indexed} indexed", self.live));
-        }
-        for (slot, entry) in self.arena.iter().enumerate() {
-            if entry.is_some() && !seen[slot] {
-                return Err(format!("living arena slot {slot} unreachable from index"));
-            }
+        let stored: usize = self.owners.iter().map(SortedMap::len).sum();
+        if stored != self.live {
+            return Err(format!("live count {} but {stored} stored", self.live));
         }
 
         for (key, node) in self.iter() {
@@ -625,14 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_distance_between_leaves() {
-        let (f, _) = sample_tree();
-        assert_eq!(f.tree_distance(s(1, 0).real(), s(2, 0).real()), Some(2));
-        assert_eq!(f.tree_distance(s(1, 0).real(), s(4, 0).real()), Some(4));
-        assert_eq!(f.tree_distance(s(1, 0).real(), s(1, 0).real()), Some(0));
-    }
-
-    #[test]
     fn detach_and_remove() {
         let (mut f, root) = sample_tree();
         let h1 = s(1, 0).helper();
@@ -685,84 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_slots_tombstone_and_never_move() {
-        let (mut f, root) = sample_tree();
-        let slots_before = f.slots_ever();
-        let l1_slot = f.slot_of(s(1, 0).real()).unwrap();
-        // Tear the tree apart and free the root helper.
-        let h1 = s(1, 0).helper();
-        let h3 = s(3, 0).helper();
-        f.detach_child(root, h1);
-        f.detach_child(root, h3);
-        f.remove_isolated(root);
-        // Freeing tombstones: total slots unchanged, survivor slots stable.
-        assert_eq!(f.slots_ever(), slots_before);
-        assert_eq!(f.slot_of(s(1, 0).real()), Some(l1_slot));
-        assert_eq!(f.slot_of(root), None);
-        assert_eq!(f.len(), 6);
-        // Re-creating the same key gets a *fresh* slot (no reuse).
-        let l2 = s(2, 0).real();
-        let l4 = s(4, 0).real();
-        f.detach_child(h1, l2);
-        f.detach_child(h3, l4);
-        let root2 = f.create_helper(s(2, 0), h1, h3, s(4, 0));
-        assert_eq!(root2, root);
-        assert_eq!(f.slots_ever(), slots_before + 1);
-        assert_eq!(f.slot_of(root2), Some(slots_before as u32));
-    }
-
-    #[test]
-    fn compaction_reclaims_tombstones_and_preserves_content() {
-        let (mut f, root) = sample_tree();
-        // Tear the root off to create tombstones mid-arena.
-        let h1 = s(1, 0).helper();
-        let h3 = s(3, 0).helper();
-        f.detach_child(root, h1);
-        f.detach_child(root, h3);
-        f.remove_isolated(root);
-        let reference = f.clone();
-        let live = f.len();
-        assert!(f.slots_ever() > live);
-        let reclaimed = f.compact();
-        assert_eq!(reclaimed, reference.slots_ever() - live);
-        assert_eq!(f.slots_ever(), live, "arena is dense after compaction");
-        f.validate().unwrap();
-        assert_eq!(f, reference, "living content is untouched");
-        // Relative slot order is preserved: keys keep their arena order.
-        let mut slots: Vec<u32> = Vec::new();
-        for (key, _) in reference.iter() {
-            slots.push(f.slot_of(key).unwrap());
-            assert_eq!(f.get(key), reference.get(key));
-        }
-        let mut ref_slots: Vec<(u32, u32)> = reference
-            .iter()
-            .zip(&slots)
-            .map(|((k, _), &new)| (reference.slot_of(k).unwrap(), new))
-            .collect();
-        ref_slots.sort_unstable();
-        assert!(ref_slots.windows(2).all(|w| w[0].1 < w[1].1));
-        // Compacting a dense arena is a no-op.
-        assert_eq!(f.compact(), 0);
-        f.validate().unwrap();
-    }
-
-    #[test]
-    fn compaction_then_mutation_keeps_working() {
-        let (mut f, root) = sample_tree();
-        let h1 = s(1, 0).helper();
-        f.detach_child(root, h1);
-        let h3 = s(3, 0).helper();
-        f.detach_child(root, h3);
-        f.remove_isolated(root);
-        f.compact();
-        // Rebuild the root on the compacted arena.
-        let root2 = f.create_helper(s(2, 0), h1, h3, s(4, 0));
-        f.validate().unwrap();
-        assert_eq!(f.root_of(s(1, 0).real()), root2);
-        assert_eq!(f.free_leaf_of(root2).0, s(4, 0));
-    }
-
-    #[test]
     fn equality_ignores_tombstone_history() {
         // Same living content, different allocation histories.
         let mut a = Forest::new();
@@ -772,6 +563,5 @@ mod tests {
         b.create_leaf(s(1, 0));
         b.remove_isolated(s(2, 0).real());
         assert_eq!(a, b);
-        assert_ne!(a.slots_ever(), b.slots_ever());
     }
 }

@@ -13,10 +13,9 @@
 //! yield [`BatchReport`]s with aggregate envelope accounting.
 
 use crate::api::{BatchReport, HealOutcome, InsertReport, RepairReport};
-use crate::engine::{CompactionPolicy, PhaseTimes};
+use crate::engine::PhaseTimes;
 use crate::error::EngineError;
 use crate::event::NetworkEvent;
-use crate::stats::EngineStats;
 use crate::view::View;
 use fg_graph::{Graph, NodeId};
 
@@ -96,19 +95,6 @@ pub trait SelfHealer {
         None
     }
 
-    /// Installs an arena-compaction policy, for healers with a
-    /// tombstoned arena (see [`crate::ForgivingGraph::set_compaction`]).
-    /// The default ignores the request.
-    fn set_compaction(&mut self, _policy: Option<CompactionPolicy>) {}
-
-    /// The healer's cumulative [`EngineStats`] — lifetime counters plus
-    /// the arena occupancy gauges (`arena_live` / `arena_slots`, whose
-    /// ratio is the live/ever density compaction manages). `None` for
-    /// healers that don't keep them.
-    fn lifetime_stats(&self) -> Option<EngineStats> {
-        None
-    }
-
     /// Applies one adversarial event, returning its typed outcome.
     ///
     /// # Errors
@@ -184,14 +170,6 @@ impl SelfHealer for crate::ForgivingGraph {
 
     fn phase_times(&self) -> Option<PhaseTimes> {
         crate::ForgivingGraph::phase_times(self)
-    }
-
-    fn set_compaction(&mut self, policy: Option<CompactionPolicy>) {
-        crate::ForgivingGraph::set_compaction(self, policy);
-    }
-
-    fn lifetime_stats(&self) -> Option<EngineStats> {
-        Some(*self.stats())
     }
 }
 

@@ -54,7 +54,7 @@ mod stats;
 pub mod view;
 
 pub use api::{BatchReport, HealOutcome, InsertReport, RepairReport, ReportDigest};
-pub use engine::{CompactionPolicy, ForgivingGraph, PhaseTimes, PlacementPolicy};
+pub use engine::{ForgivingGraph, PhaseTimes, PlacementPolicy};
 pub use error::EngineError;
 pub use event::NetworkEvent;
 pub use forest::{Forest, VNode};

@@ -94,11 +94,10 @@ pub struct VKey {
 
 /// The per-owner remainder of a [`VKey`]: `(other, kind)`.
 ///
-/// The arena-backed containers in this workspace bucket virtual nodes by
-/// owner (owners are dense ids) and sort each bucket by this local key;
-/// because the full key order is `(owner, other, kind)`, iterating buckets
-/// in owner order and each bucket in local order visits keys in exactly
-/// the global `VKey` order.
+/// The forest keeps one map of virtual nodes per owner (owners are dense
+/// ids), sorted by this local key; because the full key order is
+/// `(owner, other, kind)`, iterating owners in order and each map in
+/// local order visits keys in exactly the global `VKey` order.
 pub type LocalKey = (NodeId, VKind);
 
 impl VKey {

@@ -20,10 +20,10 @@
 //! lets the store layer name snapshot files by content hash.
 //!
 //! Round-trip guarantee: `from_snapshot_bytes(snapshot_bytes(fg)) == fg`
-//! under [`ForgivingGraph`]'s `PartialEq` (forest equality ignores arena
-//! tombstone history, which is allocation trivia, not logical state).
+//! under [`ForgivingGraph`]'s `PartialEq` (forest equality compares the
+//! living virtual nodes, not allocation history).
 
-use crate::engine::{CompactionPolicy, ForgivingGraph, PlacementPolicy};
+use crate::engine::{ForgivingGraph, PlacementPolicy};
 use crate::forest::{Forest, VNode};
 use crate::image::ImageGraph;
 use crate::slot::{Slot, VKey, VKind};
@@ -218,7 +218,6 @@ impl ForgivingGraph {
             edges_dropped: cur.u64()?,
             rep_fallbacks: cur.u64()?,
             btv_rounds: cur.u64()?,
-            ..EngineStats::default()
         };
 
         let n = cur.u32()? as usize;
@@ -276,7 +275,7 @@ impl ForgivingGraph {
             ));
         }
         // Keys arrive in iteration order (strictly increasing); a
-        // duplicate would panic in the arena, so reject it here instead.
+        // duplicate would panic in the forest, so reject it here instead.
         for w in pairs.windows(2) {
             if w[0].0 >= w[1].0 {
                 return Err(format!("forest keys out of order at {}", w[1].0));
@@ -311,11 +310,6 @@ impl ForgivingGraph {
             }
         }
 
-        // Arena gauges aren't on the wire (they're layout, not logic);
-        // recompute them from the decoded forest, which is fully dense.
-        let mut stats = stats;
-        stats.arena_live = forest.len() as u64;
-        stats.arena_slots = forest.slots_ever() as u64;
         let fg = ForgivingGraph {
             ghost,
             alive,
@@ -323,7 +317,6 @@ impl ForgivingGraph {
             image,
             policy,
             stats,
-            compaction: Some(CompactionPolicy::default()),
             profile: None,
         };
         fg.check_invariants()

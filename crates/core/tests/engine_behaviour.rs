@@ -381,49 +381,6 @@ fn churn_digests(fg: &mut ForgivingGraph, steps: usize, seed: u64) -> Vec<u64> {
 }
 
 #[test]
-fn compaction_changes_layout_but_never_behaviour() {
-    use fg_core::CompactionPolicy;
-
-    let g = generators::barabasi_albert(256, 2, 11);
-    let mut plain = ForgivingGraph::from_graph(&g).unwrap();
-    plain.set_compaction(None);
-    let mut compacted = ForgivingGraph::from_graph(&g).unwrap();
-    compacted.set_compaction(Some(CompactionPolicy::default()));
-
-    let da = churn_digests(&mut plain, 2000, 4242);
-    let db = churn_digests(&mut compacted, 2000, 4242);
-    assert_eq!(da, db, "repair digests must be bit-identical");
-    assert_eq!(plain, compacted, "logical state must be identical");
-    plain.check_invariants().unwrap();
-    compacted.check_invariants().unwrap();
-
-    // Compaction actually happened, and kept the arena dense. The arena
-    // is large enough that the min_slots floor is not what's keeping the
-    // density up.
-    assert!(compacted.stats().arena_slots >= 64);
-    assert!(compacted.stats().compactions > 0);
-    assert!(plain.stats().compactions == 0);
-    assert!(
-        compacted.stats().arena_density() > 0.5,
-        "post-churn live/ever slot ratio {:.3} must exceed the threshold",
-        compacted.stats().arena_density()
-    );
-    assert!(
-        plain.stats().arena_density() < compacted.stats().arena_density(),
-        "without compaction the arena only decays"
-    );
-
-    // Identical answers too, not just identical state.
-    use fg_core::{QueryOps, SelfHealer};
-    let (va, vb) = (plain.view(), compacted.view());
-    for u in plain.image().iter().take(16) {
-        for w in plain.image().iter().take(16) {
-            assert_eq!(va.distance(u, w), vb.distance(u, w));
-        }
-    }
-}
-
-#[test]
 fn profiling_accounts_phase_time_only_when_enabled() {
     let mut fg = ForgivingGraph::from_graph(&generators::barabasi_albert(64, 2, 3)).unwrap();
     assert_eq!(fg.phase_times(), None, "off by default");

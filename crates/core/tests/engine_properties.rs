@@ -131,57 +131,6 @@ proptest! {
         prop_assert!(fg.image().edge_count() <= ghost_edges + 2 * fg.forest_len());
     }
 
-    /// Arena discipline under churn with compaction off (DESIGN.md §7):
-    /// forest slots are appended and tombstoned, never reused — the slot
-    /// count is monotone and a surviving virtual node's arena slot is
-    /// stable across every unrelated event.
-    #[test]
-    fn forest_arena_slots_are_stable_and_monotone(
-        seed in 0u64..300,
-        bytes in prop::collection::vec(any::<u8>(), 1..60),
-    ) {
-        let g = generators::connected_erdos_renyi(16, 0.15, seed);
-        let mut fg = ForgivingGraph::from_graph(&g).unwrap();
-        fg.set_compaction(None);
-        let mut slots_ever = fg.forest().slots_ever();
-        for &byte in &bytes {
-            let alive: Vec<NodeId> = fg.image().iter().collect();
-            if alive.len() <= 2 {
-                break;
-            }
-            let before: Vec<(fg_core::VKey, u32)> = fg
-                .forest()
-                .iter()
-                .map(|(k, _)| (k, fg.forest().slot_of(k).expect("living key has a slot")))
-                .collect();
-            if byte & 1 == 0 {
-                let victim = alive[(byte as usize / 2) % alive.len()];
-                let _ = fg.delete(victim).unwrap();
-            } else {
-                let nbr = alive[(byte as usize / 2) % alive.len()];
-                fg.insert(&[nbr]).unwrap();
-            }
-            prop_assert!(
-                fg.forest().slots_ever() >= slots_ever,
-                "arena shrank: {} -> {}", slots_ever, fg.forest().slots_ever()
-            );
-            slots_ever = fg.forest().slots_ever();
-            // A key alive on both sides of the event either kept its slot
-            // (the node survived untouched) or was freed and re-created at
-            // a strictly larger slot (e.g. a helper stripped and re-made
-            // in the same repair). Allocation is append-only, so a smaller
-            // slot would mean compaction or reuse — both forbidden.
-            for (key, slot) in before {
-                if let Some(now) = fg.forest().slot_of(key) {
-                    prop_assert!(
-                        now >= slot,
-                        "slot of {} moved backwards: {} -> {}", key, slot, now
-                    );
-                }
-            }
-        }
-    }
-
     /// RT depths never exceed ⌈log₂(leaf count)⌉ (Lemma 1.3 carried
     /// through every merge the engine ever performs).
     #[test]

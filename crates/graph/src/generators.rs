@@ -199,34 +199,6 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Graph {
     g
 }
 
-/// A random `d`-regular graph via the configuration (pairing) model with
-/// rejection, retrying until the pairing is simple. Falls back to a
-/// connected ER graph of matching average degree after 200 failed attempts
-/// (only plausible for tiny `n·d`).
-///
-/// # Panics
-///
-/// Panics if `n·d` is odd or `d ≥ n`.
-pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
-    assert!((n * d).is_multiple_of(2), "n*d must be even");
-    assert!(d < n, "degree must be below n");
-    let mut r = rng(seed);
-    'attempt: for _ in 0..200 {
-        let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
-        stubs.shuffle(&mut r);
-        let mut g = Graph::with_nodes(n);
-        for pair in stubs.chunks_exact(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v || g.has_edge(id(u), id(v)) {
-                continue 'attempt;
-            }
-            g.add_edge(id(u), id(v)).expect("checked simple");
-        }
-        return g;
-    }
-    connected_erdos_renyi(n, d as f64 / n as f64, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,17 +302,5 @@ mod tests {
         assert!(g.iter().all(|v| g.degree(v) >= 3));
         // Heavy tail: someone has far more than the minimum.
         assert!(g.max_degree() >= 10);
-    }
-
-    #[test]
-    fn random_regular_is_regular() {
-        let g = random_regular(30, 4, 5);
-        assert!(g.iter().all(|v| g.degree(v) == 4), "degrees must all be 4");
-    }
-
-    #[test]
-    #[should_panic(expected = "n*d must be even")]
-    fn random_regular_rejects_odd_sum() {
-        let _ = random_regular(5, 3, 0);
     }
 }

@@ -118,26 +118,6 @@ impl Graph {
         }
     }
 
-    /// Builds a graph from an edge list, creating nodes `0..=max_id` as needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on self-loops or duplicate edges.
-    pub fn from_edges<I>(edges: I) -> Result<Self, GraphError>
-    where
-        I: IntoIterator<Item = (NodeId, NodeId)>,
-    {
-        let mut g = Graph::new();
-        for (u, v) in edges {
-            let need = u.index().max(v.index()) + 1;
-            while g.adjacency.len() < need {
-                g.add_node();
-            }
-            g.add_edge(u, v)?;
-        }
-        Ok(g)
-    }
-
     /// Adds a fresh node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId::new(self.adjacency.len() as u32);
@@ -515,13 +495,6 @@ mod tests {
         let edges: Vec<EdgeKey> = g.edges().collect();
         assert_eq!(edges.len(), 3);
         assert_eq!(g.degree_sum(), 6);
-    }
-
-    #[test]
-    fn from_edges_builds_nodes() {
-        let g = Graph::from_edges([(n(0), n(2)), (n(2), n(1))]).unwrap();
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 2);
     }
 
     #[test]

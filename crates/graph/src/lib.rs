@@ -3,7 +3,8 @@
 //! The shared foundation of the [Forgiving Graph] reproduction: a simple
 //! undirected graph with stable, tombstoned node ids ([`Graph`]), BFS-based
 //! measurement primitives ([`traversal`]), deterministic workload generators
-//! ([`generators`]), a disjoint-set forest ([`UnionFind`]) and DOT export.
+//! ([`generators`]), sorted small-vector containers ([`SortedSet`],
+//! [`SortedMap`]) and frozen CSR snapshots ([`FrozenCsr`]).
 //!
 //! Ids are never reused after removal because the paper's metrics are
 //! defined against `G'` — the graph of *everything ever inserted* — so a
@@ -26,19 +27,15 @@
 #![warn(missing_docs)]
 
 pub mod csr;
-mod dot;
 mod error;
 pub mod generators;
 mod graph;
 mod id;
 mod sorted;
 pub mod traversal;
-mod unionfind;
 
 pub use csr::FrozenCsr;
-pub use dot::dot_string;
 pub use error::GraphError;
 pub use graph::Graph;
 pub use id::{EdgeKey, NodeId};
 pub use sorted::{SortedMap, SortedSet};
-pub use unionfind::UnionFind;

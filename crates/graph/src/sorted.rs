@@ -251,11 +251,6 @@ impl<K: Ord, V> SortedMap<K, V> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
-    /// Iterates with mutable values, in ascending key order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut V)> {
-        self.entries.iter_mut().map(|(k, v)| (&*k, v))
-    }
-
     /// Iterates keys in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)

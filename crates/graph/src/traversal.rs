@@ -1,4 +1,4 @@
-//! Breadth-first traversal, distances, components and diameter.
+//! Breadth-first traversal, distances, connectivity and diameter.
 //!
 //! Everything the measurement layer needs to evaluate the paper's success
 //! metrics: `dist(x, y, G_T)` against `dist(x, y, G'_T)` (network stretch,
@@ -228,34 +228,6 @@ pub fn is_connected(g: &Graph) -> bool {
     g.iter().all(|v| dist[v.index()].is_some())
 }
 
-/// Partitions the live nodes into connected components (each sorted, the
-/// list sorted by smallest member).
-pub fn connected_components(g: &Graph) -> Vec<Vec<NodeId>> {
-    let mut seen = vec![false; g.nodes_ever()];
-    let mut components = Vec::new();
-    for root in g.iter() {
-        if seen[root.index()] {
-            continue;
-        }
-        let mut component = Vec::new();
-        let mut queue = VecDeque::new();
-        seen[root.index()] = true;
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            component.push(u);
-            for v in g.neighbors(u) {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        component.sort_unstable();
-        components.push(component);
-    }
-    components
-}
-
 /// Eccentricity of `v`: the greatest distance from `v` to any reachable node.
 ///
 /// Returns `None` when `v` is not live.
@@ -270,23 +242,9 @@ pub fn eccentricity(g: &Graph, v: NodeId) -> Option<u32> {
 /// cross-component pairs. `None` for an empty graph.
 ///
 /// Runs a BFS per node — O(n·m) — fine for the experiment sizes (n ≤ a few
-/// thousand); larger sweeps use [`diameter_double_sweep`].
+/// thousand).
 pub fn diameter_exact(g: &Graph) -> Option<u32> {
     g.iter().map(|v| eccentricity(g, v).unwrap_or(0)).max()
-}
-
-/// A fast lower bound on the diameter via the classic double-sweep
-/// heuristic: BFS from an arbitrary node, then BFS again from the farthest
-/// node found. Exact on trees.
-pub fn diameter_double_sweep(g: &Graph) -> Option<u32> {
-    let first = g.iter().next()?;
-    let d1 = bfs_distances(g, first);
-    let far = g
-        .iter()
-        .filter_map(|v| d1[v.index()].map(|d| (d, v)))
-        .max()
-        .map(|(_, v)| v)?;
-    eccentricity(g, far)
 }
 
 #[cfg(test)]
@@ -333,8 +291,6 @@ mod tests {
         g.remove_edge(n(1), n(2)).unwrap();
         assert_eq!(distance(&g, n(0), n(3)), None);
         assert!(!is_connected(&g));
-        let comps = connected_components(&g);
-        assert_eq!(comps, vec![vec![n(0), n(1)], vec![n(2), n(3)]]);
     }
 
     #[test]
@@ -351,7 +307,6 @@ mod tests {
     fn diameter_of_path_and_cycle() -> Result<(), GraphError> {
         let g = path_graph(7);
         assert_eq!(diameter_exact(&g), Some(6));
-        assert_eq!(diameter_double_sweep(&g), Some(6));
 
         let mut c = path_graph(6);
         c.add_edge(n(5), n(0))?;
@@ -433,16 +388,5 @@ mod tests {
         assert_eq!(shortest_path(&g, n(0), n(3)), None);
         assert_eq!(shortest_path(&g, n(2), n(2)), Some(vec![n(2)]));
         assert_eq!(bidirectional_distance(&g, n(2), n(2)), Some(0));
-    }
-
-    #[test]
-    fn double_sweep_is_lower_bound() {
-        // Star: exact diameter 2; double sweep finds it (tree ⇒ exact).
-        let mut g = Graph::with_nodes(6);
-        for i in 1..6 {
-            g.add_edge(n(0), n(i)).unwrap();
-        }
-        assert_eq!(diameter_double_sweep(&g), Some(2));
-        assert_eq!(diameter_exact(&g), Some(2));
     }
 }

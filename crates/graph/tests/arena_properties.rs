@@ -1,8 +1,8 @@
 //! Property tests for the arena-layout invariants of `fg-graph`:
 //! tombstoned ids are never reused, sorted adjacency stays canonical, and
-//! the union–find behaves like a reference model.
+//! the sorted containers behave like reference models.
 
-use fg_graph::{Graph, NodeId, SortedMap, SortedSet, UnionFind};
+use fg_graph::{Graph, NodeId, SortedMap, SortedSet};
 use proptest::prelude::*;
 
 fn n(i: u32) -> NodeId {
@@ -89,61 +89,6 @@ proptest! {
             let nbrs = g.neighbor_vec(v);
             prop_assert!(nbrs.windows(2).all(|w| w[0] < w[1]), "unsorted adjacency at {}", v);
         }
-    }
-
-    /// Union–find vs a brute-force model: connectivity, set count and set
-    /// sizes all agree after an arbitrary union tape.
-    #[test]
-    fn unionfind_matches_naive_model(
-        len in 1usize..40,
-        unions in prop::collection::vec((any::<u8>(), any::<u8>()), 0..80),
-    ) {
-        let mut uf = UnionFind::new(len);
-        // Model: each element's set label, flood-filled on union.
-        let mut label: Vec<usize> = (0..len).collect();
-        for &(a, b) in &unions {
-            let (a, b) = (a as usize % len, b as usize % len);
-            let merged = uf.union(a, b);
-            prop_assert_eq!(merged, label[a] != label[b]);
-            if label[a] != label[b] {
-                let (from, to) = (label[b], label[a]);
-                for l in &mut label {
-                    if *l == from {
-                        *l = to;
-                    }
-                }
-            }
-        }
-        let distinct = {
-            let mut ls = label.clone();
-            ls.sort_unstable();
-            ls.dedup();
-            ls.len()
-        };
-        prop_assert_eq!(uf.set_count(), distinct);
-        for a in 0..len {
-            prop_assert_eq!(uf.set_size(a), label.iter().filter(|&&l| l == label[a]).count());
-            for b in 0..len {
-                prop_assert_eq!(uf.connected(a, b), label[a] == label[b]);
-            }
-        }
-    }
-
-    /// Union–find `push` keeps extending the universe with singletons.
-    #[test]
-    fn unionfind_push_after_unions(len in 1usize..20, extra in 1usize..10) {
-        let mut uf = UnionFind::new(len);
-        for i in 1..len {
-            uf.union(0, i);
-        }
-        prop_assert_eq!(uf.set_count(), 1);
-        for k in 0..extra {
-            let idx = uf.push();
-            prop_assert_eq!(idx, len + k);
-            prop_assert!(!uf.connected(0, idx));
-        }
-        prop_assert_eq!(uf.set_count(), 1 + extra);
-        prop_assert_eq!(uf.len(), len + extra);
     }
 
     /// `SortedSet` behaves like a sorted, deduplicated `Vec` under random

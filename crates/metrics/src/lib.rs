@@ -11,7 +11,7 @@
 //!    (Theorem 1.3: `O(d log n)` work),
 //!
 //! plus [`measure`] for one-call health summaries and [`Table`] for the
-//! markdown/CSV tables the experiment binaries (DESIGN.md §5) print.
+//! markdown tables the experiment binaries (DESIGN.md §5) print.
 //!
 //! ## Example
 //!

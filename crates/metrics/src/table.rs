@@ -1,5 +1,5 @@
 //! Experiment table rendering: aligned markdown (what the DESIGN.md §5
-//! binaries print) and CSV (for external plotting).
+//! binaries print).
 
 use std::fmt::Write as _;
 
@@ -86,35 +86,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders RFC-4180-ish CSV (quotes cells containing commas/quotes).
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
 }
 
 /// Formats a float with 2 decimals ("3.00"); infinities as "∞".
@@ -150,14 +121,6 @@ mod tests {
         assert!(md.contains("| 1024 | 3.14  |"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new("x", ["a", "b"]);
-        t.push_row(["1,5", "plain"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"1,5\",plain"));
     }
 
     #[test]

@@ -561,14 +561,6 @@ impl<H: Persistable> SelfHealer for DurableHealer<H> {
         self.inner.phase_times()
     }
 
-    fn set_compaction(&mut self, policy: Option<fg_core::CompactionPolicy>) {
-        self.inner.set_compaction(policy);
-    }
-
-    fn lifetime_stats(&self) -> Option<fg_core::EngineStats> {
-        self.inner.lifetime_stats()
-    }
-
     fn apply_batch(&mut self, events: &[NetworkEvent]) -> Result<BatchReport, EngineError> {
         // "Earlier events stay applied" — so the applied prefix of a
         // failed batch is made durable before the error is reported too.

@@ -5,7 +5,7 @@
 //! cargo run --release --example healing_zoo
 //! ```
 
-use fg_adversary::{replay, run_attack, MaxDegreeDeleter};
+use fg_adversary::{run_attack, MaxDegreeDeleter};
 use fg_baselines::{
     BinaryTreeHealer, CliqueHealer, CycleHealer, ForgivingTree, NoHealer, StarHealer,
 };
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     table.push_row(zoo_row(&fg, &log.report));
     for healer in &mut zoo {
-        let report = replay(healer.as_mut(), &log.events)?;
+        let report = healer.apply_batch(&log.events)?;
         table.push_row(zoo_row(healer.as_ref(), &report));
     }
     println!("{}", table.to_markdown());

@@ -54,7 +54,7 @@ pub use fg_store as store;
 /// # Ok::<(), fg_core::EngineError>(())
 /// ```
 pub mod prelude {
-    pub use fg_adversary::{replay, run_attack, AttackLog};
+    pub use fg_adversary::{run_attack, AttackLog};
     pub use fg_baselines::{
         BinaryTreeHealer, CliqueHealer, CycleHealer, ForgivingTree, NoHealer, StarHealer,
     };

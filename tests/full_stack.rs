@@ -2,8 +2,8 @@
 //! the paper contract, and the distributed protocol stays in lockstep.
 
 use forgiving_graph::adversary::{
-    replay, run_attack, ChurnAdversary, Composite, CutPointDeleter, MaxDegreeDeleter,
-    PreferentialInserter, RandomDeleter, StarSmash,
+    run_attack, ChurnAdversary, Composite, CutPointDeleter, MaxDegreeDeleter, PreferentialInserter,
+    RandomDeleter, StarSmash,
 };
 use forgiving_graph::baselines::{CycleHealer, ForgivingTree, NoHealer};
 use forgiving_graph::core::{ForgivingGraph, PlacementPolicy, SelfHealer};
@@ -110,7 +110,7 @@ fn forgiving_graph_beats_forgiving_tree_on_stretch() {
     let log = run_attack(&mut fg, &mut adv, 90).unwrap();
 
     let mut ft = ForgivingTree::from_graph(&g);
-    let ft_report = replay(&mut ft, &log.events).unwrap();
+    let ft_report = ft.apply_batch(&log.events).unwrap();
     assert_eq!(ft_report.len(), log.events.len());
     assert_eq!(ft_report.deletes, log.deletions as u64);
 

@@ -203,50 +203,6 @@ fn golden_query_answers_match_distributed_replay() {
     }
 }
 
-#[test]
-fn golden_corpus_is_invariant_under_compaction() {
-    use forgiving_graph::bench::replay::query_digest;
-    use forgiving_graph::core::{CompactionPolicy, ForgivingGraph, SelfHealer};
-    // Arena compaction is pure layout: replaying with it enabled — at
-    // the default threshold, and at an aggressive one that provably
-    // fires on these small traces — must leave every outcome digest
-    // AND every query digest bit-identical to the recorded corpus.
-    let aggressive = CompactionPolicy {
-        min_density: 0.5,
-        min_slots: 2,
-    };
-    let mut fired = 0u64;
-    for &(name, _, _, _) in CORPUS {
-        let (sc, recorded) = load(name);
-        let (_, recorded_queries) = load_queries(name);
-        for policy in [CompactionPolicy::default(), aggressive] {
-            let mut fg = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0 from trace");
-            fg.set_compaction(Some(policy));
-            let mut digests = Vec::with_capacity(sc.events.len());
-            let mut queries = Vec::with_capacity(sc.events.len());
-            for event in &sc.events {
-                digests.push(fg.apply_event(event).expect("legal trace").digest());
-                queries.push(query_digest(&fg.view(), QUERY_SEED, QUERY_PROBES));
-            }
-            assert_eq!(
-                first_digest_drift(&recorded, &digests),
-                None,
-                "{name}: outcome digests drifted under compaction {policy:?}"
-            );
-            assert_eq!(
-                first_digest_drift(&recorded_queries, &queries),
-                None,
-                "{name}: query digests drifted under compaction {policy:?}"
-            );
-            fired += fg.stats().compactions;
-        }
-    }
-    assert!(
-        fired > 0,
-        "the aggressive policy never compacted — invariance was not exercised"
-    );
-}
-
 /// Regenerates the whole corpus in place. Ignored by default — run
 /// explicitly (see module docs) after an intentional behaviour change,
 /// then commit the updated files.
