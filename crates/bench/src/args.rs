@@ -18,7 +18,8 @@
 //! flag, an unparsable value or an output path (`--json`, or a flag the
 //! binary checks with [`BenchArgs::check_outputs`]) in a directory that
 //! does not exist prints the error and the usage line to stderr and exits
-//! with status 2 ([`BenchArgs::fail`]), before the run starts.
+//! with status 2 ([`BenchArgs::fail`]), before the run starts. An output
+//! write that fails later exits with status 1 ([`or_exit`]).
 
 use crate::json::Json;
 use fg_metrics::Table;
@@ -231,15 +232,24 @@ impl BenchArgs {
     }
 }
 
-/// Writes `doc` to `path` as pretty JSON. A failed write prints the
-/// error and exits with status 1: a run whose artifact was lost must not
-/// look like a success.
+/// Writes `doc` to `path` as pretty JSON; a failed write exits with
+/// status 1 ([`or_exit`]).
 pub fn write_artifact(path: &str, doc: &Json) {
-    if let Err(e) = std::fs::write(path, doc.pretty()) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(1);
-    }
+    or_exit(
+        std::fs::write(path, doc.pretty()),
+        &format!("writing {path}"),
+    );
     eprintln!("wrote {path}");
+}
+
+/// The result of an output write, or, when it failed, `error: {what}:`
+/// and the cause on stderr and exit status 1: a run whose output was
+/// lost must not look like a success, nor like a crash.
+pub fn or_exit<T>(result: std::io::Result<T>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// The usage line printed for `--help` and after every input error.

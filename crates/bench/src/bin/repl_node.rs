@@ -28,13 +28,14 @@
 //! --batch 32` — both roles must agree so the trace is identical.
 //! `--role`, `--dir`, `--ports` and `--golden` are required; a missing
 //! or unknown one, or a master's `--ports` or `--golden` in a directory
-//! that does not exist, exits 2 with usage before any work.
+//! that does not exist, exits 2 with usage before any work. A master
+//! whose `--ports` or `--golden` cannot be written exits 1 before it
+//! creates or opens its store.
 
 use fg_bench::json::Json;
-use fg_bench::{scenario, write_artifact, BenchArgs};
+use fg_bench::{or_exit, probe_pairs, scenario, write_artifact, BenchArgs};
 use fg_core::{ForgivingGraph, NetworkEvent, PlacementPolicy, SelfHealer};
 use fg_dist::DistHealer;
-use fg_graph::NodeId;
 use fg_serve::{
     spawn_writer, Client, Publisher, ReplicaNode, Request, Server, ServerConfig, WriteJob,
 };
@@ -91,6 +92,20 @@ fn master(args: &BenchArgs) {
     let batch = args.get("batch", 32usize).max(1);
     let linger = args.get("linger", 0u8) != 0;
 
+    // Both output files are created before the store is, so a path that
+    // cannot be written leaves no store behind. The ports file starts
+    // empty: CI waits for it to be non-empty.
+    or_exit(
+        std::fs::write(ports, ""),
+        &format!("writing --ports {ports}"),
+    );
+    // fg-lint: allow(blessed-io): bench harness golden-file artifact; CI compares contents, crash-durability is not at stake
+    let golden_file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(golden);
+    let mut golden_file = or_exit(golden_file, &format!("opening --golden {golden}"));
+
     // First life creates the store; later lives recover it — every
     // acknowledged event replays, so the applied prefix is derivable
     // from the recovered epoch.
@@ -125,23 +140,19 @@ fn master(args: &BenchArgs) {
     )
     .expect("bind FGQ1 master");
     let listener = ReplListener::bind("127.0.0.1:0", Path::new(dir)).expect("bind FGR1");
-    std::fs::write(
-        ports,
-        format!("{}\n{}\n", server.addr(), listener.local_addr()),
-    )
-    .expect("write ports file");
+    or_exit(
+        std::fs::write(
+            ports,
+            format!("{}\n{}\n", server.addr(), listener.local_addr()),
+        ),
+        &format!("writing --ports {ports}"),
+    );
     eprintln!(
         "repl_node master: fgq {} fgr {} (applied {applied}/{to})",
         server.addr(),
         listener.local_addr()
     );
 
-    // fg-lint: allow(blessed-io): bench harness golden-file artifact; CI compares contents, crash-durability is not at stake
-    let mut golden_file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(golden)
-        .expect("open golden file");
     let mut total = applied;
     for chunk in events[applied..to].chunks(batch) {
         let (reply_tx, reply_rx) = channel();
@@ -156,9 +167,9 @@ fn master(args: &BenchArgs) {
             .expect("writer alive")
             .expect("legal trace applies");
         total += ack.applied;
-        writeln!(golden_file, "{total} {} {:016x}", ack.epoch, ack.digest)
-            .expect("append golden line");
-        golden_file.flush().expect("flush golden line");
+        let line = writeln!(golden_file, "{total} {} {:016x}", ack.epoch, ack.digest)
+            .and_then(|()| golden_file.flush());
+        or_exit(line, "appending to --golden");
     }
     eprintln!("repl_node master: applied through {total}, golden stream flushed");
 
@@ -228,19 +239,9 @@ fn replica(args: &BenchArgs) {
         .expect("bind replica FGQ1");
     let mut replica_client = Client::connect(replica_server.addr()).expect("connect replica");
     let mut master_client = Client::connect(fgq_addr.as_str()).expect("connect master");
-    let universe = (initial.nodes_ever() + events.len()).max(2) as u64;
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    let universe = (initial.nodes_ever() + events.len()).max(2);
     let mut checked = 0usize;
-    for _ in 0..probes {
-        let u = NodeId::new((next() % universe) as u32);
-        let v = NodeId::new((next() % universe) as u32);
+    for (u, v) in probe_pairs(universe, 0, probes) {
         for request in [
             Request::Epoch,
             Request::Distance(u, v),

@@ -10,12 +10,10 @@
 //! With `--queries N` the run becomes a mixed read/write workload: `N`
 //! reads are interleaved across the write batches (e.g. `--events 50000
 //! --queries 200000` is an 80/20 read/write mix) and answered through
-//! two timed read paths — served (one publish per write batch, advancing
-//! the last `FrozenView` as the server does, then its CSR kernels) and
-//! the naive per-query-BFS baseline (sampled; one fresh full BFS per
-//! query) — each checked against the live `QueryOps` answers, so the
-//! JSON records `queries_per_sec` for both, the speedup, and the
-//! (hard-gated) zero answer-mismatch count.
+//! the timed served path (one publish per write batch, advancing the
+//! last `FrozenView` as the server does, then its CSR kernels), checked
+//! against the live `QueryOps` answers, so the JSON records the served
+//! `queries_per_sec` and the (hard-gated) zero answer-mismatch count.
 //!
 //! Flags (all optional): `--workloads a,b,c`, `--n <initial size>`,
 //! `--events <count>`, `--batch <size>`, `--backend engine|dist|both`,
@@ -25,14 +23,15 @@
 //! on the write side, freeze/query buckets on the read side —
 //! into a `profile` JSON section), `--trace-out <path>` (dump the
 //! trace; `recover_trace --trace` replays it through the durable store;
-//! like `--json`, a path in a missing directory exits 2), plus the
+//! like `--json`, a path in a missing directory exits 2 and a path that
+//! cannot be written exits 1), plus the
 //! shared `--seed` / `--scale` / `--json <path>`. `--help` prints usage.
 //! The durable write path is measured end to end by the repo benchmark's
 //! `write-ack` workload (`perfbench`), not here.
 
 use fg_bench::json::Json;
 use fg_bench::{
-    scenario, write_artifact, BenchArgs, QueryStats, QueryWorkload, RunResult, Scenario,
+    or_exit, scenario, write_artifact, BenchArgs, QueryStats, QueryWorkload, RunResult, Scenario,
     ScenarioRunner,
 };
 use fg_core::{ForgivingGraph, PhaseTimes, PlacementPolicy, SelfHealer};
@@ -159,15 +158,13 @@ fn main() {
         ],
     );
     let mut query_table = Table::new(
-        "Mixed read/write — served (publish + FrozenView kernels) vs naive BFS",
+        "Mixed read/write — served (publish + FrozenView kernels)",
         [
             "workload",
             "backend",
             "queries",
             "mix",
             "served q/s",
-            "naive q/s",
-            "vs naive",
             "mismatches",
         ],
     );
@@ -175,7 +172,8 @@ fn main() {
     for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let sc = scenario(name, n, events, seed);
         if let Some(path) = args.raw("trace-out") {
-            std::fs::write(path, sc.to_trace()).expect("writing --trace-out");
+            let what = format!("writing --trace-out {path}");
+            or_exit(std::fs::write(path, sc.to_trace()), &what);
             eprintln!("wrote trace to {path}");
         }
         let mut runs: Vec<BackendRun> = Vec::new();
@@ -216,7 +214,7 @@ fn main() {
             if let Some(q) = &run.queries {
                 assert_eq!(
                     q.mismatches, 0,
-                    "{name}/{}: read paths diverged from the live answers (served/naive)",
+                    "{name}/{}: served reads diverged from the live answers",
                     result.backend
                 );
                 query_table.push_row([
@@ -225,8 +223,6 @@ fn main() {
                     q.queries.to_string(),
                     q.mix.clone(),
                     format!("{:.0}", q.served_qps),
-                    format!("{:.0}", q.naive_qps),
-                    f2(q.speedup),
                     q.mismatches.to_string(),
                 ]);
             }

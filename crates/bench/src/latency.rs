@@ -147,8 +147,7 @@ impl LatencyHistogram {
 
     /// The standard percentile report as a JSON object, in microseconds
     /// (`count`, `mean_us`, `p50_us`, `p90_us`, `p99_us`, `p999_us`,
-    /// `min_us`, `max_us`) — the shape `serve_bench` writes into
-    /// `BENCH_*.json`.
+    /// `min_us`, `max_us`) — the `latency` shape of `BENCH_serve.json`.
     pub fn to_json(&self) -> Json {
         let us = |ns: u64| Json::Float(ns as f64 / 1e3);
         Json::obj()

@@ -15,9 +15,8 @@
 //! machine-readable `BENCH_*.json` via [`json`]. The [`queries`] module
 //! adds the read side: mixed read/write workloads
 //! ([`ScenarioRunner::run_mixed`]) serving configurable query streams
-//! through the served path (per-batch publish plus `FrozenView` kernels)
-//! and the naive per-query-BFS baseline, each timed separately and
-//! checked against the live query API.
+//! through the served path (per-batch publish plus `FrozenView`
+//! kernels), timed and checked against the live query API.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,9 +29,9 @@ pub mod replay;
 pub mod scenario;
 
 use fg_core::{ForgivingGraph, PlacementPolicy};
-use fg_graph::Graph;
+use fg_graph::{Graph, NodeId};
 
-pub use args::{write_artifact, BenchArgs};
+pub use args::{or_exit, write_artifact, BenchArgs};
 pub use latency::LatencyHistogram;
 pub use queries::{
     answer_api, answers_agree, Answer, Query, QueryKind, QueryMix, QueryStats, QueryStream,
@@ -67,10 +66,28 @@ pub fn ceil_log2(n: usize) -> u32 {
     fg_core::api::ceil_log2(n) as u32
 }
 
+/// `count` seeded `(u, v)` probe pairs drawn uniformly from the ids
+/// `0..universe`, live and dead alike (a dead endpoint must answer
+/// `None`, not fail): SplitMix64 from `salt`, deterministic and
+/// dependency-free, so the differential suites and `repl_node` probe
+/// reproducible pair sets.
+pub fn probe_pairs(universe: usize, salt: u64, count: usize) -> Vec<(NodeId, NodeId)> {
+    let n = universe.max(1) as u64;
+    let mut state = salt ^ 0x9e37_79b9_7f4a_7c15;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        NodeId::new(((z ^ (z >> 31)) % n) as u32)
+    };
+    (0..count).map(|_| (next(), next())).collect()
+}
+
 /// `numerator / denominator`, or `0.0` when the denominator is not a
-/// positive number — the one divide-by-zero guard every rate and
-/// speedup in the harness shares (`events_per_sec`, `queries_per_sec_*`,
-/// `speedup_*`, per-batch means). Centralized so no report path can emit
+/// positive number — the one divide-by-zero guard every rate in the
+/// harness shares (`events_per_sec`, `queries_per_sec_served`,
+/// per-batch means). Centralized so no report path can emit
 /// `inf`/`NaN` into a JSON artifact when a timed region is empty or
 /// faster than the clock's resolution.
 pub fn rate(numerator: f64, denominator: f64) -> f64 {

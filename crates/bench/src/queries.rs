@@ -1,12 +1,8 @@
 //! Mixed read/write workloads: configurable query streams interleaved
-//! with churn, answered through two timed read paths, each checked
-//! against the live `QueryOps` answer as an untimed oracle:
-//!
-//! * **served** — one `View::freeze` per write batch, which is the
-//!   publish cost the server pays, then the [`FrozenView`] CSR kernels
-//!   every served read runs on;
-//! * **naive** — one fresh full single-source BFS per query, the
-//!   pre-query-API way of reading distances out of the offline sampler.
+//! with churn, answered through the timed served path — one snapshot
+//! publish per write batch, which is the publish cost the server pays,
+//! then the [`FrozenView`] CSR kernels every served read runs on — and
+//! checked against the live `QueryOps` answer as an untimed oracle.
 //!
 //! The pieces:
 //!
@@ -15,9 +11,9 @@
 //! * [`QueryWorkload`] — how many queries to interleave, the mix, the
 //!   seed and the hot-source skew (wired through `--queries` /
 //!   `--query-mix` / `--query-seed` / `--query-hot`);
-//! * [`QueryStats`] — what a mixed run measured: queries/sec for both
-//!   paths, the speedup and the (always zero) answer-mismatch count,
-//!   serialised into the bench JSON next to the write-side throughput.
+//! * [`QueryStats`] — what a mixed run measured: served queries/sec and
+//!   the (always zero) answer-mismatch count, serialised into the bench
+//!   JSON next to the write-side throughput.
 //!
 //! Query endpoints are drawn from the live node set at each interleave
 //! point: sources from a per-block *hot set* (read traffic concentrates
@@ -247,7 +243,7 @@ impl QueryStream {
     }
 }
 
-/// One query's answer — held so each read path can be compared with
+/// One query's answer — held so the served path can be compared with
 /// the oracle after it is timed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
@@ -291,9 +287,9 @@ pub(crate) fn answer_served(view: &FrozenView, q: &Query) -> Answer {
 }
 
 /// The live query API: `QueryOps` per-pair reads (bidirectional BFS).
-/// The oracle mixed runs check the served and naive paths against, and
-/// the in-process reference the served (`fg-serve`) differential
-/// harnesses compare against.
+/// The oracle mixed runs check the served path against, and the
+/// in-process reference the served (`fg-serve`) differential harnesses
+/// compare against.
 pub fn answer_api(view: &impl GraphView, q: &Query) -> Answer {
     match q.kind {
         QueryKind::Distance => Answer::Dist(view.distance(q.u, q.v)),
@@ -301,50 +297,6 @@ pub fn answer_api(view: &impl GraphView, q: &Query) -> Answer {
         QueryKind::Stretch => Answer::Stretch(view.stretch(q.u, q.v)),
         QueryKind::Degree => Answer::Degree(view.degree(q.u)),
         QueryKind::Component => Answer::Component(view.same_component(q.u, q.v)),
-    }
-}
-
-/// The naive per-query-BFS baseline: what answering reads cost before
-/// the query API existed — reach into the offline sampler's machinery
-/// and run one fresh full single-source BFS (`bfs_distances` /
-/// `bfs_parents`) per query, exactly the way `fg_metrics`' stretch
-/// sampler materializes distances.
-pub(crate) fn answer_naive(view: &impl GraphView, q: &Query) -> Answer {
-    use fg_graph::traversal::{bfs_distances, bfs_parents};
-    let image = view.image();
-    match q.kind {
-        QueryKind::Distance => Answer::Dist(bfs_distances(image, q.u)[q.v.index()]),
-        QueryKind::Path => {
-            let parents = bfs_parents(image, q.u);
-            let mut path = vec![q.v];
-            let mut cur = q.v;
-            loop {
-                match parents.get(cur.index()).copied().flatten() {
-                    Some(p) if p == cur => break, // reached the root (u)
-                    Some(p) => {
-                        path.push(p);
-                        cur = p;
-                    }
-                    None => return Answer::Path(None),
-                }
-            }
-            path.reverse();
-            Answer::Path(Some(path))
-        }
-        QueryKind::Stretch => {
-            if !image.contains(q.u) || !image.contains(q.v) {
-                return Answer::Stretch(None);
-            }
-            let di = bfs_distances(image, q.u)[q.v.index()];
-            // `.get`: lazy-ghost baselines may track a smaller universe.
-            let dg = bfs_distances(view.ghost(), q.u)
-                .get(q.v.index())
-                .copied()
-                .flatten();
-            Answer::Stretch(fg_core::stretch_ratio(dg, di))
-        }
-        QueryKind::Degree => Answer::Degree(view.degree(q.u)),
-        QueryKind::Component => Answer::Component(bfs_distances(image, q.u)[q.v.index()].is_some()),
     }
 }
 
@@ -385,9 +337,6 @@ pub struct QueryStats {
     pub by_kind: Vec<(&'static str, usize)>,
     /// Queries whose answer was `None`/unreachable.
     pub unanswered: usize,
-    /// Queries the sampled naive-baseline pass answered (`naive_qps` is
-    /// measured over these).
-    pub naive_queries: usize,
     /// Answers that disagreed with the live `QueryOps` oracle — **always
     /// zero**; recorded (and gated in CI) rather than assumed.
     pub mismatches: usize,
@@ -398,17 +347,9 @@ pub struct QueryStats {
     pub freeze_seconds: f64,
     /// Wall-clock seconds answering from the frozen snapshots.
     pub served_seconds: f64,
-    /// Wall-clock seconds answering by the naive baseline: one fresh
-    /// full single-source BFS per query — what reads cost before the
-    /// query API existed (the offline sampler's machinery).
-    pub naive_seconds: f64,
     /// `queries / (served_seconds + freeze_seconds)` — served throughput
     /// inclusive of the per-batch freezes.
     pub served_qps: f64,
-    /// `naive_queries / naive_seconds`.
-    pub naive_qps: f64,
-    /// `served_qps / naive_qps`.
-    pub speedup: f64,
 }
 
 impl QueryStats {
@@ -425,14 +366,10 @@ impl QueryStats {
             .field("hot", Json::Int(self.hot as i64))
             .field("by_kind", kinds)
             .field("unanswered", Json::Int(self.unanswered as i64))
-            .field("naive_queries", Json::Int(self.naive_queries as i64))
             .field("mismatches", Json::Int(self.mismatches as i64))
             .field("freeze_seconds", Json::Float(self.freeze_seconds))
             .field("served_seconds", Json::Float(self.served_seconds))
-            .field("naive_seconds", Json::Float(self.naive_seconds))
             .field("queries_per_sec_served", Json::Float(self.served_qps))
-            .field("queries_per_sec_naive", Json::Float(self.naive_qps))
-            .field("speedup_vs_naive", Json::Float(self.speedup))
     }
 
     /// Folds one answered block into the tallies.
@@ -457,14 +394,10 @@ impl QueryStats {
             hot: wl.hot,
             by_kind: QUERY_KINDS.iter().map(|k| (k.label(), 0)).collect(),
             unanswered: 0,
-            naive_queries: 0,
             mismatches: 0,
             freeze_seconds: 0.0,
             served_seconds: 0.0,
-            naive_seconds: 0.0,
             served_qps: 0.0,
-            naive_qps: 0.0,
-            speedup: 0.0,
         }
     }
 
@@ -473,8 +406,6 @@ impl QueryStats {
             self.queries as f64,
             self.served_seconds + self.freeze_seconds,
         );
-        self.naive_qps = crate::rate(self.naive_queries as f64, self.naive_seconds);
-        self.speedup = crate::rate(self.served_qps, self.naive_qps);
     }
 }
 
@@ -540,7 +471,6 @@ mod tests {
         stats.finish();
         let text = stats.to_json().pretty();
         assert!(text.contains("\"queries_per_sec_served\""));
-        assert!(text.contains("\"queries_per_sec_naive\""));
         assert!(text.contains("\"mix\": \"dist:80,path:10,stretch:10\""));
         assert!(text.contains("\"mismatches\": 0"));
     }

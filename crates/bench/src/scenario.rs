@@ -21,9 +21,7 @@
 //! | `partition-then-heal`| two clusters, bridge nodes killed first, then churn |
 
 use crate::json::Json;
-use crate::queries::{
-    answer_api, answer_naive, answer_served, answers_agree, QueryStats, QueryStream, QueryWorkload,
-};
+use crate::queries::{answer_api, answer_served, QueryStats, QueryStream, QueryWorkload};
 use fg_core::{EngineError, GraphView, NetworkEvent, SelfHealer};
 use fg_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
@@ -40,11 +38,6 @@ pub const WORKLOADS: &[&str] = &[
     "preferential-churn",
     "partition-then-heal",
 ];
-
-/// A mixed run answers its naive baseline on every `NAIVE_EVERY`-th
-/// query block only: full per-query BFS on every block would distort
-/// the write-side timings through sheer cache churn.
-const NAIVE_EVERY: usize = 8;
 
 /// An initial network plus a recorded adversarial trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -549,22 +542,18 @@ impl ScenarioRunner {
 
     /// Replays `scenario` while serving an interleaved read workload:
     /// after every timed write batch, the proportional share of `wl`'s
-    /// queries is answered through two separately timed read paths:
-    ///
-    /// * **served** — the post-batch snapshot, advanced from the last
-    ///   batch's by [`FrozenView::advance`](fg_core::FrozenView::advance)
-    ///   exactly as the server publishes it (the first is one
-    ///   [`GraphView::freeze`] before the first batch), then the
-    ///   [`FrozenView`](fg_core::FrozenView) CSR kernels per query;
-    /// * **naive** — one fresh full single-source BFS per query (what
-    ///   reads cost before the query API existed), on every 8th query
-    ///   block only.
+    /// queries is answered from the post-batch snapshot, advanced from
+    /// the last batch's by
+    /// [`FrozenView::advance`](fg_core::FrozenView::advance) exactly as
+    /// the server publishes it (the first is one [`GraphView::freeze`]
+    /// before the first batch), through the
+    /// [`FrozenView`](fg_core::FrozenView) CSR kernels per query. The
+    /// publishes and the reads are timed separately.
     ///
     /// The live `QueryOps` answer is the untimed oracle: served answers
-    /// must equal it exactly, paths included node for node, and naive
-    /// answers must agree with it per [`answers_agree`]. The returned
-    /// [`QueryStats`] carry both rates, the speedup and the
-    /// differential verdict (`mismatches`, always 0).
+    /// must equal it exactly, paths included node for node. The returned
+    /// [`QueryStats`] carry the served rate and the differential verdict
+    /// (`mismatches`, always 0).
     ///
     /// Write batches are timed exactly as in [`ScenarioRunner::run`]
     /// (query work happens strictly between batches), so the write-side
@@ -585,7 +574,6 @@ impl ScenarioRunner {
         let total_events = scenario.events.len().max(1);
         let mut applied = 0usize;
         let mut issued = 0usize;
-        let mut blocks = 0usize;
         let mut frozen = healer.view().freeze();
 
         for batch in scenario.events.chunks(self.batch_size) {
@@ -613,27 +601,11 @@ impl ScenarioRunner {
             let served: Vec<_> = block.iter().map(|q| answer_served(&frozen, q)).collect();
             stats.served_seconds += start.elapsed().as_secs_f64();
 
-            let naive = if blocks.is_multiple_of(NAIVE_EVERY) {
-                let start = Instant::now();
-                let answers: Vec<_> = block.iter().map(|q| answer_naive(&view, q)).collect();
-                stats.naive_seconds += start.elapsed().as_secs_f64();
-                stats.naive_queries += answers.len();
-                Some(answers)
-            } else {
-                None
-            };
-            blocks += 1;
-
-            // The untimed oracle: the live `QueryOps` answer. Served
-            // answers must equal it outright; the naive BFS-parent walk
-            // may pick a different, equally short path.
-            for (i, q) in block.iter().enumerate() {
+            // The untimed oracle: the live `QueryOps` answer, which a
+            // served answer must equal outright.
+            for (q, served) in block.iter().zip(&served) {
                 let oracle = answer_api(&view, q);
-                let mut ok = served[i] == oracle;
-                if let Some(naive) = &naive {
-                    ok &= answers_agree(q, &naive[i], &oracle, view.image());
-                }
-                stats.record(q, oracle.answered(), ok);
+                stats.record(q, oracle.answered(), *served == oracle);
             }
         }
         stats.finish();
@@ -778,14 +750,12 @@ mod tests {
                 q.by_kind.iter().any(|&(kind, n)| kind == "path" && n > 0),
                 "{backend}: no path query was compared"
             );
-            assert!(q.naive_queries > 0, "{backend}: naive never sampled");
             assert_eq!(q.by_kind.iter().map(|(_, c)| c).sum::<usize>(), q.queries);
         }
         // The query stream is deterministic and both backends hold
         // identical state, so the read side must agree exactly.
         assert_eq!(engine.queries.by_kind, dist.queries.by_kind);
         assert_eq!(engine.queries.unanswered, dist.queries.unanswered);
-        assert_eq!(engine.queries.naive_queries, dist.queries.naive_queries);
         // And the write side still folds the same aggregates as a plain
         // run of the same trace.
         let mut plain = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
@@ -890,14 +860,10 @@ mod tests {
             "hot",
             "by_kind",
             "unanswered",
-            "naive_queries",
             "mismatches",
             "freeze_seconds",
             "served_seconds",
-            "naive_seconds",
             "queries_per_sec_served",
-            "queries_per_sec_naive",
-            "speedup_vs_naive",
         ] {
             assert!(queries.get(key).is_some(), "queries field {key} missing");
         }

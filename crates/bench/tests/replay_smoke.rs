@@ -1,9 +1,10 @@
 //! The fg-bench binaries' command-line contract. `recover_trace` is a CI
 //! gate, so it must exit **nonzero** (status 3) when its run drifts
 //! from the reference digest stream and zero when every check passes.
-//! Bad input never panics: `--help` answers with usage and exit 0, and
-//! an unknown, missing or unusable flag exits 2 with usage on stderr
-//! before the run prints anything.
+//! Bad input never panics: `--help` answers with usage and exit 0, an
+//! unknown, missing or unusable flag exits 2 with usage on stderr
+//! before the run prints anything, and an output path that cannot be
+//! written exits 1 with the error.
 
 use fg_bench::replay::{format_digest_file, replay_digests, ReplayBackend};
 use fg_bench::scenario;
@@ -49,6 +50,28 @@ fn refused(exe: &str, args: &[&str], expected: &str) {
     assert!(stderr.contains(&format!("usage: {bin}")), "{stderr}");
     assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{bin} {args:?} printed results");
+}
+
+/// Runs `exe` with `args` and asserts a failed output write: exit 1,
+/// `expected` in the error on stderr, no panic.
+fn unwritable(exe: &str, args: &[&str], expected: &str) {
+    let out = Command::new(exe).args(args).output().expect("running bin");
+    let bin = Path::new(exe).file_stem().unwrap().to_string_lossy();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains("error: "), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(expected), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+}
+
+/// A `repl_node` master's command line over a 40-event trace.
+fn master_args<'a>(store: &'a Path, ports: &'a str, golden: &'a str) -> Vec<&'a str> {
+    let store = store.to_str().unwrap();
+    let trace = [
+        "--role", "master", "--n", "16", "--events", "40", "--to", "20",
+    ];
+    let files = ["--dir", store, "--ports", ports, "--golden", golden];
+    trace.into_iter().chain(files).collect()
 }
 
 #[test]
@@ -134,23 +157,38 @@ fn bad_input_exits_2_with_usage() {
     let tmp = trace_path.parent().unwrap();
     let (store, golden) = (tmp.join("master-store"), tmp.join("g.txt"));
     let ports = missing("ports.txt");
-    let master = [
-        "--role",
-        "master",
+    let master = master_args(&store, &ports, golden.to_str().unwrap());
+    refused(REPL_NODE, &master, "--ports");
+    assert!(!store.exists(), "the master created its store first");
+}
+
+#[test]
+fn unwritable_outputs_exit_1_without_panicking() {
+    // Each path's directory exists, so the parse-time check passes;
+    // the write itself fails, because the path is a directory.
+    let (trace_path, _, _) = fixture("unwritable");
+    let tmp = trace_path.parent().unwrap();
+    let json = tmp.join("t.json");
+    let json = json.to_str().unwrap();
+    let dump = [
         "--n",
         "16",
         "--events",
-        "40",
-        "--dir",
-        store.to_str().unwrap(),
-        "--to",
-        "20",
-        "--ports",
-        &ports,
-        "--golden",
-        golden.to_str().unwrap(),
+        "10",
+        "--trace-out",
+        "/",
+        "--json",
+        json,
     ];
-    refused(REPL_NODE, &master, "--ports");
+    unwritable(THROUGHPUT, &dump, "--trace-out /");
+    // A master opens both output files before its store.
+    let store = tmp.join("master-store");
+    let (ports, golden) = (tmp.join("ports.txt"), tmp.join("g.txt"));
+    let (ports, golden) = (ports.to_str().unwrap(), golden.to_str().unwrap());
+    let tmp = tmp.to_str().unwrap();
+    unwritable(REPL_NODE, &master_args(&store, "/", golden), "--ports /");
+    assert!(!store.exists(), "the master created its store first");
+    unwritable(REPL_NODE, &master_args(&store, ports, tmp), "--golden");
     assert!(!store.exists(), "the master created its store first");
 }
 

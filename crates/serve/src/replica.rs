@@ -66,8 +66,7 @@ impl<H: Persistable> ReplicaNode<H> {
         self.replica.chain_digest()
     }
 
-    /// The wrapped store-level replica (cadence knobs like
-    /// [`Replica::max_fetch_bytes`] live there).
+    /// The wrapped store-level replica.
     pub fn replica_mut(&mut self) -> &mut Replica<H> {
         &mut self.replica
     }

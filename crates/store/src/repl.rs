@@ -71,6 +71,10 @@ pub const MAX_REPL_PAYLOAD: usize = 64 << 20;
 /// Smallest payload: magic, version and tag.
 const MIN_REPL_PAYLOAD: usize = 6;
 
+/// The soft byte cap a replica puts in every `Fetch`: the master ships
+/// whole commit groups until a shipment reaches it.
+const FETCH_BYTES: u32 = 1 << 20;
+
 /// Error-frame code: the request did not parse.
 pub const REPL_ERR_BAD_REQUEST: u8 = 1;
 
@@ -713,8 +717,6 @@ pub struct Replica<H: Persistable> {
     addr: SocketAddr,
     stream: TcpStream,
     healer: DurableHealer<H>,
-    /// Soft per-fetch byte cap.
-    pub max_fetch_bytes: u32,
 }
 
 impl<H: Persistable> Replica<H> {
@@ -776,7 +778,6 @@ impl<H: Persistable> Replica<H> {
                 addr,
                 stream,
                 healer,
-                max_fetch_bytes: 1 << 20,
             },
             report,
         ))
@@ -836,7 +837,7 @@ impl<H: Persistable> Replica<H> {
         let have_epoch = self.healer.epoch();
         let request = ReplRequest::Fetch {
             have_epoch,
-            max_bytes: self.max_fetch_bytes,
+            max_bytes: FETCH_BYTES,
         };
         write_frame(&mut self.stream, &request.encode())?;
         let payload = read_frame(&mut self.stream)?;

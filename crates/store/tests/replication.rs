@@ -1,5 +1,6 @@
 //! FGR1 replication tests at the store layer: bootstrap from a shipped
-//! snapshot, incremental WAL streaming, certificate-chain equality,
+//! snapshot, incremental WAL streaming (a fetch's byte cap rounded up to
+//! a commit boundary), certificate-chain equality,
 //! typed refusal of tampered shipments, replica/master restart
 //! resilience, and the dir-entry crash-injection regression for the
 //! parent-directory fsync fix.
@@ -173,6 +174,50 @@ fn replica_resyncs_after_master_kill_and_restart() {
     drop(listener);
     fs::remove_dir_all(&master_dir).unwrap();
     fs::remove_dir_all(&replica_dir).unwrap();
+}
+
+/// A `Fetch` cap smaller than one record still ships progress, and
+/// never more than it must: each shipment runs to the first commit
+/// boundary at or past the cap, so a 1-byte cap gets exactly one
+/// commit group per round.
+#[test]
+fn fetch_cap_ships_one_commit_group_per_round() {
+    let events = script(12, 0x1005);
+    let master_dir = temp_dir("fetch-cap");
+    let mut master = DurableHealer::create(seed_engine(), &master_dir, opts()).unwrap();
+    let mut have_epoch = master.epoch();
+    for group in events.chunks(3) {
+        let _ = master.apply_batch(group).unwrap();
+    }
+
+    let listener = ReplListener::bind("127.0.0.1:0", &master_dir).unwrap();
+    let mut stream = std::net::TcpStream::connect(listener.local_addr()).unwrap();
+    let mut fetch = |have_epoch: u64| {
+        let request = ReplRequest::Fetch {
+            have_epoch,
+            max_bytes: 1,
+        };
+        write_frame(&mut stream, &request.encode()).unwrap();
+        ReplResponse::parse(&read_frame(&mut stream).unwrap()).unwrap()
+    };
+    for round in 0..4 {
+        let ReplResponse::Records { count, raw } = fetch(have_epoch) else {
+            panic!("round {round}: expected a record shipment");
+        };
+        let records = fg_store::decode_records(&raw).unwrap();
+        assert_eq!((count, records.len()), (3, 3), "round {round}");
+        let commits: Vec<bool> = records.iter().map(WalRecord::is_commit).collect();
+        assert_eq!(commits, [false, false, true], "round {round}");
+        assert_eq!(records[0].seq, have_epoch + 1, "round {round}");
+        have_epoch = records[2].seq;
+    }
+    match fetch(have_epoch) {
+        ReplResponse::CaughtUp { epoch } => assert_eq!(epoch, master.epoch()),
+        other => panic!("expected CaughtUp after four groups, got {other:?}"),
+    }
+
+    drop(listener);
+    fs::remove_dir_all(&master_dir).unwrap();
 }
 
 /// A fake master that answers the replica's first `Fetch` with one

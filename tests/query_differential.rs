@@ -23,35 +23,12 @@
 use forgiving_graph::adversary::{
     run_attack, Adversary, ChurnAdversary, MaxDegreeDeleter, RandomDeleter,
 };
+use forgiving_graph::bench::probe_pairs;
 use forgiving_graph::core::{
     stretch_ratio, ForgivingGraph, GraphView, PlacementPolicy, QueryOps, SelfHealer,
 };
 use forgiving_graph::dist::DistHealer;
 use forgiving_graph::graph::{generators, traversal, Graph, NodeId};
-
-/// Seeded, allocation-light pair sampler: a handful of (u, v) probes per
-/// checkpoint, spread over the node universe (live and dead ids both —
-/// dead endpoints must answer `None`).
-fn probe_pairs(nodes_ever: usize, salt: u64, count: usize) -> Vec<(NodeId, NodeId)> {
-    let n = nodes_ever.max(1) as u64;
-    let mut state = salt ^ 0x9e37_79b9_7f4a_7c15;
-    let mut next = move || {
-        // SplitMix64 — deterministic and dependency-free.
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    (0..count)
-        .map(|_| {
-            (
-                NodeId::new((next() % n) as u32),
-                NodeId::new((next() % n) as u32),
-            )
-        })
-        .collect()
-}
 
 /// Ground truth for one pair from fresh BFS vectors on the materialized
 /// graphs: `(image distance, ghost distance, stretch)`.

@@ -11,7 +11,7 @@
 //! store recovered, and the replica reconnects and re-syncs — landing
 //! on the identical certificate again.
 
-use forgiving_graph::bench::scenario;
+use forgiving_graph::bench::{probe_pairs, scenario};
 use forgiving_graph::core::{ForgivingGraph, NetworkEvent, PlacementPolicy};
 use forgiving_graph::dist::DistHealer;
 use forgiving_graph::graph::NodeId;
@@ -37,27 +37,6 @@ fn opts() -> DurableOptions {
         checkpoint_every: None,
         sync_every: 1,
     }
-}
-
-/// Seeded SplitMix64 probe pairs over the ghost universe.
-fn probe_pairs(nodes_ever: usize, salt: u64, count: usize) -> Vec<(NodeId, NodeId)> {
-    let n = nodes_ever.max(1) as u64;
-    let mut state = salt ^ 0x9e37_79b9_7f4a_7c15;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    (0..count)
-        .map(|_| {
-            (
-                NodeId::new((next() % n) as u32),
-                NodeId::new((next() % n) as u32),
-            )
-        })
-        .collect()
 }
 
 /// All seven wire ops for one probe pair.

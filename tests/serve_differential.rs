@@ -27,7 +27,7 @@
 //!
 //! [`FrozenView`]: forgiving_graph::core::FrozenView
 
-use forgiving_graph::bench::scenario;
+use forgiving_graph::bench::{probe_pairs, scenario};
 use forgiving_graph::core::{ForgivingGraph, GraphView, PlacementPolicy, SelfHealer};
 use forgiving_graph::dist::DistHealer;
 use forgiving_graph::graph::NodeId;
@@ -35,28 +35,6 @@ use forgiving_graph::serve::{Client, Publisher, Request, ResponseBody, Server, S
 
 /// Events published one at a time before the rest go in 64-event chunks.
 const PER_EVENT: usize = 2_000;
-
-/// Seeded SplitMix64 pair sampler over the ghost node universe (live
-/// and dead ids both — dead endpoints must serve `None`, not errors).
-fn probe_pairs(nodes_ever: usize, salt: u64, count: usize) -> Vec<(NodeId, NodeId)> {
-    let n = nodes_ever.max(1) as u64;
-    let mut state = salt ^ 0x9e37_79b9_7f4a_7c15;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    (0..count)
-        .map(|_| {
-            (
-                NodeId::new((next() % n) as u32),
-                NodeId::new((next() % n) as u32),
-            )
-        })
-        .collect()
-}
 
 /// Replays the churn trace through a publisher, checking every
 /// published snapshot against a fresh freeze, serves the final snapshot
