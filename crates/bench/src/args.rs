@@ -15,11 +15,13 @@
 //! `--name value` pairs in any order. `--help` (or `-h`) prints a usage
 //! line listing the accepted flags and exits 0. Input errors never
 //! panic: a malformed argument list, an unknown flag, a missing required
-//! flag, an unparsable value or an output path (`--json`, or a flag the
-//! binary checks with [`BenchArgs::check_outputs`]) in a directory that
-//! does not exist prints the error and the usage line to stderr and exits
-//! with status 2 ([`BenchArgs::fail`]), before the run starts. An output
-//! write that fails later exits with status 1 ([`or_exit`]).
+//! flag, an unparsable value, an unregistered workload name
+//! ([`BenchArgs::check_workloads`]) or an output path (`--json`, or a
+//! flag the binary checks with [`BenchArgs::check_outputs`]) in a
+//! directory that does not exist prints the error and the usage line to
+//! stderr and exits with status 2 ([`BenchArgs::fail`]), before the run
+//! starts. An output write that fails later exits with status 1
+//! ([`or_exit`]).
 
 use crate::json::Json;
 use fg_metrics::Table;
@@ -113,6 +115,20 @@ impl BenchArgs {
     pub fn check_outputs(&self, names: &[&str]) {
         if let Err(e) = self.output_dirs_exist(names) {
             self.fail(&e);
+        }
+    }
+
+    /// Checks each of `names` against the workload registry
+    /// ([`crate::WORKLOADS`]): an unregistered name is an input error
+    /// ([`BenchArgs::fail`]). Call it before the run starts.
+    pub fn check_workloads(&self, names: &[&str]) {
+        for name in names {
+            if !crate::WORKLOADS.contains(name) {
+                self.fail(&format!(
+                    "unknown workload {name:?}; registered: {}",
+                    crate::WORKLOADS.join(", ")
+                ));
+            }
         }
     }
 

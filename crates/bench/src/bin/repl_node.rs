@@ -27,10 +27,12 @@
 //! Shared flags: `--workload churn --n 256 --events 4000 --seed 41
 //! --batch 32` — both roles must agree so the trace is identical.
 //! `--role`, `--dir`, `--ports` and `--golden` are required; a missing
-//! or unknown one, or a master's `--ports` or `--golden` in a directory
-//! that does not exist, exits 2 with usage before any work. A master
-//! whose `--ports` or `--golden` cannot be written exits 1 before it
-//! creates or opens its store.
+//! or unknown one, an unregistered `--workload`, a master's `--ports` or
+//! `--golden` in a directory that does not exist, or a replica's
+//! `--ports` file that cannot be read or does not hold two socket
+//! addresses, exits 2 with usage before any work. A master whose
+//! `--ports` or `--golden` cannot be written exits 1 before it creates
+//! or opens its store.
 
 use fg_bench::json::Json;
 use fg_bench::{or_exit, probe_pairs, scenario, write_artifact, BenchArgs};
@@ -41,6 +43,7 @@ use fg_serve::{
 };
 use fg_store::{DurableHealer, DurableOptions, ReplListener};
 use std::io::Write;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::mpsc::channel;
 
@@ -74,11 +77,12 @@ fn main() {
 }
 
 fn trace(args: &BenchArgs) -> (fg_graph::Graph, Vec<NetworkEvent>) {
-    let workload = args.raw("workload").unwrap_or("churn").to_string();
+    let workload = args.raw("workload").unwrap_or("churn");
+    args.check_workloads(&[workload]);
     let n = args.get("n", 256usize);
     let events = args.get("events", 4_000usize);
     let seed = args.seed(41);
-    let sc = scenario(&workload, n, events, seed);
+    let sc = scenario(workload, n, events, seed);
     (sc.initial, sc.events)
 }
 
@@ -194,13 +198,23 @@ fn replica(args: &BenchArgs) {
     let check_dist = args.get("check-dist", 1u8) != 0;
     let batch = args.get("batch", 32usize).max(1);
 
-    let ports_text = std::fs::read_to_string(ports).expect("read ports file");
+    // The master's two addresses, parsed before anything connects.
+    let ports_text = std::fs::read_to_string(ports)
+        .unwrap_or_else(|e| args.fail(&format!("cannot read --ports {ports}: {e}")));
     let mut lines = ports_text.lines();
-    let fgq_addr = lines.next().expect("fgq addr").trim().to_string();
-    let fgr_addr = lines.next().expect("fgr addr").trim().to_string();
+    let mut addr = |line: usize, what: &str| -> SocketAddr {
+        let text = lines.next().unwrap_or_default().trim();
+        text.parse().unwrap_or_else(|_| {
+            args.fail(&format!(
+                "--ports {ports}: line {line}: {text:?} is not the master's {what} address"
+            ))
+        })
+    };
+    let fgq_addr = addr(1, "FGQ1");
+    let fgr_addr = addr(2, "FGR1");
 
     let (mut node, report) =
-        ReplicaNode::<ForgivingGraph>::bootstrap(fgr_addr.as_str(), Path::new(dir), opts())
+        ReplicaNode::<ForgivingGraph>::bootstrap(fgr_addr, Path::new(dir), opts())
             .expect("bootstrap replica");
     eprintln!(
         "repl_node replica: local store at epoch {} ({} replayed)",
@@ -238,7 +252,7 @@ fn replica(args: &BenchArgs) {
     let replica_server = Server::bind(("127.0.0.1", 0), node.hub(), ServerConfig::default())
         .expect("bind replica FGQ1");
     let mut replica_client = Client::connect(replica_server.addr()).expect("connect replica");
-    let mut master_client = Client::connect(fgq_addr.as_str()).expect("connect master");
+    let mut master_client = Client::connect(fgq_addr).expect("connect master");
     let universe = (initial.nodes_ever() + events.len()).max(2);
     let mut checked = 0usize;
     for (u, v) in probe_pairs(universe, 0, probes) {

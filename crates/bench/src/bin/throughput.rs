@@ -21,17 +21,15 @@
 //! `--query-seed <u64>` / `--query-hot <k>` (the mixed read workload),
 //! `--profile 1` (per-phase wall times — insert/gather/strip/plan/merge
 //! on the write side, freeze/query buckets on the read side —
-//! into a `profile` JSON section), `--trace-out <path>` (dump the
-//! trace; `recover_trace --trace` replays it through the durable store;
-//! like `--json`, a path in a missing directory exits 2 and a path that
-//! cannot be written exits 1), plus the
-//! shared `--seed` / `--scale` / `--json <path>`. `--help` prints usage.
+//! into a `profile` JSON section), plus the shared `--seed` / `--scale` /
+//! `--json <path>`. `--help` prints usage; an unknown workload name is
+//! an input error (exit 2 with usage), found before the run.
 //! The durable write path is measured end to end by the repo benchmark's
 //! `write-ack` workload (`perfbench`), not here.
 
 use fg_bench::json::Json;
 use fg_bench::{
-    or_exit, scenario, write_artifact, BenchArgs, QueryStats, QueryWorkload, RunResult, Scenario,
+    scenario, write_artifact, BenchArgs, QueryStats, QueryWorkload, RunResult, Scenario,
     ScenarioRunner,
 };
 use fg_core::{ForgivingGraph, PhaseTimes, PlacementPolicy, SelfHealer};
@@ -119,7 +117,6 @@ fn main() {
         "batch",
         "backend",
         "profile",
-        "trace-out",
         "queries",
         "query-mix",
         "query-seed",
@@ -135,12 +132,17 @@ fn main() {
             "unknown --backend {backend:?}; expected engine, dist or both"
         ));
     }
-    let names = args.get("workloads", "churn".to_string());
+    let spec = args.get("workloads", "churn".to_string());
+    let names: Vec<&str> = spec
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
+    args.check_workloads(&names);
     let json_path = args.json_path().unwrap_or("BENCH_throughput.json");
     let host_cpus = fg_bench::host_cpus();
     let workload = args.query_workload(seed.wrapping_add(0x9e37));
     let profile = args.get("profile", 0usize) != 0;
-    args.check_outputs(&["trace-out"]);
 
     let runner = ScenarioRunner::new(batch);
     let mut table = Table::new(
@@ -169,13 +171,8 @@ fn main() {
         ],
     );
     let mut results: Vec<BackendRun> = Vec::new();
-    for name in names.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+    for name in names {
         let sc = scenario(name, n, events, seed);
-        if let Some(path) = args.raw("trace-out") {
-            let what = format!("writing --trace-out {path}");
-            or_exit(std::fs::write(path, sc.to_trace()), &what);
-            eprintln!("wrote trace to {path}");
-        }
         let mut runs: Vec<BackendRun> = Vec::new();
         if backend == "engine" || backend == "both" {
             let mut fg = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");

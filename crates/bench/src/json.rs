@@ -57,42 +57,6 @@ impl Json {
         out.push('\n');
         out
     }
-
-    /// Renders on a single line (for line-oriented outputs that are
-    /// grepped or tailed, e.g. `recover_trace`'s result line).
-    pub fn compact(&self) -> String {
-        let mut out = String::new();
-        self.render_compact(&mut out);
-        out
-    }
-
-    fn render_compact(&self, out: &mut String) {
-        match self {
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.render_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    escape(key, out);
-                    out.push_str(": ");
-                    value.render_compact(out);
-                }
-                out.push('}');
-            }
-            scalar => scalar.render(out, 0),
-        }
-    }
 }
 
 fn escape(s: &str, out: &mut String) {

@@ -1,6 +1,7 @@
 //! Trace replay, outcome digests, query digests, and digest-file
 //! parsing — shared by the golden-trace regression suite
-//! (`tests/golden_traces.rs`) and `recover_trace`'s digest gate.
+//! (`tests/golden_traces.rs`) and the golden crash-injection sweep
+//! (`tests/crash_recovery.rs`).
 //!
 //! A *digest stream* is one stable 64-bit digest per event (see
 //! [`fg_core::ReportDigest`]): the digest of the typed outcome the healer

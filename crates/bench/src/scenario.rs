@@ -62,7 +62,8 @@ impl Scenario {
 
     /// Serialises the scenario as a line-oriented trace file
     /// (`n <nodes>` / `e <u> <v>` / `I <nbr>...` / `D <victim>`), the
-    /// format [`Scenario::read_trace`] and the old-ref replay driver parse.
+    /// format of `tests/golden/*.trace`, which [`Scenario::read_trace`]
+    /// parses.
     pub fn to_trace(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("n {}\n", self.initial.nodes_ever()));
@@ -250,7 +251,8 @@ impl TraceBuilder {
 ///
 /// # Panics
 ///
-/// Panics on an unregistered name; see [`WORKLOADS`].
+/// Panics on an unregistered name; see [`WORKLOADS`]. The binaries
+/// check their names first ([`crate::BenchArgs::check_workloads`]).
 pub fn scenario(name: &str, n: usize, events: usize, seed: u64) -> Scenario {
     let n = n.max(8);
     let (initial, tb) = match name {

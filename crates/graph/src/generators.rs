@@ -102,24 +102,6 @@ pub fn binary_tree(n: usize) -> Graph {
     g
 }
 
-/// A caterpillar: a spine path of `spine` nodes, each with `legs` pendant
-/// leaves. Stresses low-degree periphery with high-degree spine.
-///
-/// # Panics
-///
-/// Panics if `spine == 0`.
-pub fn caterpillar(spine: usize, legs: usize) -> Graph {
-    assert!(spine > 0, "caterpillar needs a spine");
-    let mut g = path(spine);
-    for s in 0..spine {
-        for _ in 0..legs {
-            let leaf = g.add_node();
-            g.add_edge(id(s), leaf).expect("fresh leg");
-        }
-    }
-    g
-}
-
 /// Erdős–Rényi `G(n, p)`; may be disconnected.
 pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p), "probability out of range");
@@ -251,14 +233,6 @@ mod tests {
         assert_eq!(g.edge_count(), 14);
         assert!(is_connected(&g));
         assert_eq!(g.degree(NodeId::new(0)), 2);
-    }
-
-    #[test]
-    fn caterpillar_shape() {
-        let g = caterpillar(4, 3);
-        assert_eq!(g.node_count(), 4 + 12);
-        assert!(is_connected(&g));
-        assert_eq!(g.degree(NodeId::new(0)), 1 + 3);
     }
 
     #[test]

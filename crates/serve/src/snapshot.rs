@@ -369,27 +369,6 @@ impl<H: Persistable> Publisher<DurableHealer<H>> {
         );
         self.publish();
     }
-
-    /// The master's write path for one job: [`stage`](Publisher::stage)
-    /// then [`commit_and_publish`](Publisher::commit_and_publish) — apply
-    /// → log → fsync → publish.
-    ///
-    /// # Errors
-    ///
-    /// The healer's [`EngineError`]; the applied prefix is durable and
-    /// published.
-    ///
-    /// # Panics
-    ///
-    /// As [`commit_and_publish`](Publisher::commit_and_publish).
-    pub fn apply_log_publish(
-        &mut self,
-        events: &[NetworkEvent],
-    ) -> Result<BatchReport, EngineError> {
-        let result = self.stage(events);
-        self.commit_and_publish();
-        result
-    }
 }
 
 #[cfg(test)]

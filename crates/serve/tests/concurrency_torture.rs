@@ -19,19 +19,24 @@ use fg_serve::{
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use std::time::{Duration, Instant};
 
-/// A deterministic, always-legal churn trace: alternate inserting a
-/// leaf under a live node with deleting a recently inserted one.
-fn churn_events(rounds: usize) -> Vec<NetworkEvent> {
+/// A deterministic, always-legal churn trace over `star(n)`: every round
+/// inserts a leaf under one of the star's own leaves, every other round
+/// deletes the leaf the round before inserted, and the middle round
+/// deletes the hub. Ids are dense: the star takes `0..n`, and the k-th
+/// insert gets `n + k`.
+fn churn_events(n: usize, rounds: usize) -> Vec<NetworkEvent> {
     let mut events = Vec::with_capacity(rounds * 2);
     for i in 0..rounds {
-        events.push(NetworkEvent::insert([NodeId::new((i % 8) as u32)]));
+        events.push(NetworkEvent::insert([NodeId::new(
+            (1 + i % (n - 1)) as u32,
+        )]));
         if i % 2 == 1 {
-            // Delete the node the *previous* insert created: ids grow
-            // densely, so nodes_ever-1 after an insert is that leaf —
-            // but we do not know ids here, so delete a long-lived hub
-            // spoke instead every few rounds.
-            events.push(NetworkEvent::insert([NodeId::new(((i + 3) % 8) as u32)]));
+            events.push(NetworkEvent::delete(NodeId::new((n + i - 1) as u32)));
+        }
+        if i == rounds / 2 {
+            events.push(NetworkEvent::delete(NodeId::new(0)));
         }
     }
     events
@@ -81,7 +86,7 @@ fn readers_never_observe_unpublished_or_torn_epochs() {
     // the initial epoch *before* the writer starts (barrier), and
     // chases the final epoch after its rounds — the racing middle stays
     // fully unsynchronized.
-    let events = churn_events(120);
+    let events = churn_events(9, 120);
     let final_epoch = hub.epoch() + events.len() as u64;
     let start_gate = Arc::new(std::sync::Barrier::new(CLIENTS + 1));
 
@@ -125,19 +130,27 @@ fn readers_never_observe_unpublished_or_torn_epochs() {
                 for round in 0..ROUNDS {
                     let u = NodeId::new(((c * 7 + round) % 24) as u32);
                     let v = NodeId::new(((c * 13 + round * 5) % 24) as u32);
-                    for request in [
+                    let requests = [
                         Request::Distance(u, v),
                         Request::Path(u, v),
                         Request::Degree(u),
                         Request::Neighbors(u),
                         Request::SameComponent(u, v),
-                    ] {
-                        let stamped = client.roundtrip(&request).expect("roundtrip");
+                    ];
+                    // Pipelined: the round's five requests are all in
+                    // flight before the first answer is read.
+                    let ids: Vec<u64> = requests
+                        .iter()
+                        .map(|request| client.send(request).expect("send"))
+                        .collect();
+                    for (request, id) in requests.into_iter().zip(ids) {
+                        let response = client.recv().expect("recv");
+                        assert_eq!(response.request_id, id, "answers arrive in request order");
                         log.push(Observation {
-                            epoch: stamped.epoch,
-                            digest: stamped.digest,
+                            epoch: response.epoch,
+                            digest: response.digest,
                             request,
-                            body: stamped.value,
+                            body: response.body.expect("torture traffic is well formed"),
                         });
                     }
                 }
@@ -217,7 +230,17 @@ fn readers_never_observe_unpublished_or_torn_epochs() {
 
     let stats = server.stats();
     assert_eq!(stats.protocol_errors(), 0, "well-formed traffic only");
-    assert!(stats.served() as usize >= checked);
+    // A worker counts an answer after its write returns, so a client can
+    // hold its last answer a moment before the server has counted it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while (stats.served() as usize) < checked && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        stats.served() as usize >= checked,
+        "served {} answers, clients checked {checked}",
+        stats.served()
+    );
     server.shutdown();
 
     // Retirement: dropping the retained map releases the last pins on
@@ -250,7 +273,7 @@ fn slow_reader_keeps_its_pinned_epoch_alive_until_drop() {
     let pinned_epoch = pinned.epoch;
     let weak = Arc::downgrade(&pinned);
 
-    for chunk in churn_events(30).chunks(2) {
+    for chunk in churn_events(6, 30).chunks(2) {
         let _ = publisher.apply_and_publish(chunk).expect("legal churn");
     }
     assert!(hub.epoch() > pinned_epoch, "publishes advanced the epoch");

@@ -115,7 +115,8 @@ impl Default for DurableOptions {
     }
 }
 
-/// What a recovery did — the numbers the `recover_trace` bench reports.
+/// What a recovery did: where it started, what it replayed and what it
+/// cut from the live segment's tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Epoch of the snapshot recovery started from.

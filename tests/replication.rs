@@ -102,9 +102,8 @@ fn master_with_history(
     )
     .unwrap();
     let mut publisher = Publisher::from_durable(durable);
-    let report = publisher
-        .apply_log_publish(&sc.events)
-        .expect("legal trace");
+    let report = publisher.stage(&sc.events).expect("legal trace");
+    publisher.commit_and_publish();
     assert_eq!(report.outcomes.len(), sc.events.len());
     let repl = ReplListener::bind("127.0.0.1:0", dir).unwrap();
     (publisher, repl)
