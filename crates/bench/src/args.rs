@@ -201,39 +201,6 @@ impl BenchArgs {
         self.raw("json")
     }
 
-    /// Total interleaved read queries (`--queries`, default 0 = a pure
-    /// write run). E.g. `--events 50000 --queries 200000` is an 80/20
-    /// read/write mix.
-    pub fn queries(&self) -> usize {
-        self.get("queries", 0usize)
-    }
-
-    /// The read-side seed (`--query-seed`), independent of `--seed` so
-    /// query placement can be varied without changing the trace.
-    pub fn query_seed(&self, default: u64) -> u64 {
-        self.get("query-seed", default)
-    }
-
-    /// The mixed read/write workload, when `--queries` is positive:
-    /// `--query-mix kind:weight,...` (kinds `dist`, `path`, `stretch`,
-    /// `deg`, `comp`; default `dist:80,path:10,stretch:10`),
-    /// `--query-seed` (default `default_seed`) and `--query-hot` (sticky
-    /// hot source set size, default 32, 0 = uniform sources). A
-    /// malformed `--query-mix` is an input error ([`BenchArgs::fail`]).
-    pub fn query_workload(&self, default_seed: u64) -> Option<crate::QueryWorkload> {
-        let queries = self.queries();
-        (queries > 0).then(|| {
-            let mut wl = crate::QueryWorkload::new(queries);
-            if let Some(spec) = self.raw("query-mix") {
-                wl.mix = crate::QueryMix::parse(spec)
-                    .unwrap_or_else(|e| self.fail(&format!("--query-mix {spec:?}: {e}")));
-            }
-            wl.seed = self.query_seed(default_seed);
-            wl.hot = self.get("query-hot", wl.hot);
-            wl
-        })
-    }
-
     /// Prints every table as markdown and, when `--json` was given, writes
     /// them all to that path as a JSON array of
     /// `{title, headers, rows}` objects ([`write_artifact`]).

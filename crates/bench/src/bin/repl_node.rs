@@ -30,9 +30,12 @@
 //! or unknown one, an unregistered `--workload`, a master's `--ports` or
 //! `--golden` in a directory that does not exist, or a replica's
 //! `--ports` file that cannot be read or does not hold two socket
-//! addresses, exits 2 with usage before any work. A master whose
-//! `--ports` or `--golden` cannot be written exits 1 before it creates
-//! or opens its store.
+//! addresses, or a `--golden` file that cannot be opened, exits 2 with
+//! usage before any work. A master whose `--ports` or `--golden` cannot
+//! be written exits 1 before it creates or opens its store. The golden
+//! stream grows while the master runs, so a replica judges its content
+//! only after the sync: an empty or malformed tail, or one past the
+//! trace's end, fails the gate (exit 1), naming the line.
 
 use fg_bench::json::Json;
 use fg_bench::{or_exit, probe_pairs, scenario, write_artifact, BenchArgs};
@@ -212,6 +215,9 @@ fn replica(args: &BenchArgs) {
     };
     let fgq_addr = addr(1, "FGQ1");
     let fgr_addr = addr(2, "FGR1");
+    if let Err(e) = std::fs::File::open(golden) {
+        args.fail(&format!("cannot read --golden {golden}: {e}"));
+    }
 
     let (mut node, report) =
         ReplicaNode::<ForgivingGraph>::bootstrap(fgr_addr, Path::new(dir), opts())
@@ -228,15 +234,13 @@ fn replica(args: &BenchArgs) {
 
     // Gate 1: the replica's certificate equals the tail of the master's
     // golden digest stream.
-    let golden_text = std::fs::read_to_string(golden).expect("read golden file");
-    let last = golden_text
-        .lines()
-        .last()
-        .expect("golden stream is non-empty");
-    let mut parts = last.split_whitespace();
-    let golden_applied: usize = parts.next().unwrap().parse().unwrap();
-    let golden_epoch: u64 = parts.next().unwrap().parse().unwrap();
-    let golden_chain = u64::from_str_radix(parts.next().unwrap(), 16).unwrap();
+    let tail = std::fs::read_to_string(golden)
+        .map_err(|e| format!("cannot read --golden {golden}: {e}"))
+        .and_then(|text| golden_tail(&text, events.len()));
+    let (golden_applied, golden_epoch, golden_chain) = tail.unwrap_or_else(|e| {
+        eprintln!("FAIL: {e}");
+        std::process::exit(1)
+    });
     let mut mismatches = 0usize;
     if (node.epoch(), node.chain_digest()) != (golden_epoch, golden_chain) {
         eprintln!(
@@ -316,5 +320,55 @@ fn replica(args: &BenchArgs) {
     replica_server.shutdown();
     if mismatches > 0 {
         std::process::exit(1);
+    }
+}
+
+/// The `(applied, epoch, chain)` on the last line of a golden stream,
+/// as the master writes it (`<applied> <epoch> <chain:016x>`), for a
+/// trace of `trace_len` events.
+///
+/// # Errors
+///
+/// An empty stream, or a last line that is not three such fields or
+/// counts more events than the trace holds, named by its number.
+fn golden_tail(text: &str, trace_len: usize) -> Result<(usize, u64, u64), String> {
+    let (k, line) = text
+        .lines()
+        .enumerate()
+        .last()
+        .ok_or("the golden stream is empty")?;
+    let bad = |why: &str| format!("--golden line {}: {line:?} {why}", k + 1);
+    let malformed = || bad("is not \"<applied> <epoch> <chain>\"");
+    let [applied, epoch, chain] = line.split_whitespace().collect::<Vec<_>>()[..] else {
+        return Err(malformed());
+    };
+    let applied: usize = applied.parse().map_err(|_| malformed())?;
+    if applied > trace_len {
+        return Err(bad(&format!(
+            "counts more than the trace's {trace_len} events"
+        )));
+    }
+    Ok((
+        applied,
+        epoch.parse().map_err(|_| malformed())?,
+        u64::from_str_radix(chain, 16).map_err(|_| malformed())?,
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::golden_tail;
+
+    #[test]
+    fn golden_tail_reads_the_last_line_or_names_the_bad_one() {
+        let good = "1 5 00000000000000aa\n3 9 00000000000000ff\n";
+        assert_eq!(golden_tail(good, 3), Ok((3, 9, 0xff)));
+        assert_eq!(golden_tail("", 3), Err("the golden stream is empty".into()));
+        let refused = |text: &str| golden_tail(text, 3).unwrap_err();
+        assert!(refused("1 5 aa\n3 9").starts_with("--golden line 2: \"3 9\" is not"));
+        assert!(refused("1 5 aa 7").starts_with("--golden line 1: "));
+        assert!(refused("1 5 0xzz").starts_with("--golden line 1: \"1 5 0xzz\" is not"));
+        assert!(refused("x 5 aa").starts_with("--golden line 1: "));
+        assert!(refused("4 9 ff").ends_with("counts more than the trace's 3 events"));
     }
 }

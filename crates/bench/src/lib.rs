@@ -10,13 +10,12 @@
 //! Each binary prints markdown tables to stdout; all of them share the
 //! [`args`] flag parser (`--seed` / `--scale` / `--json`). The
 //! [`scenario`](mod@scenario) module is the throughput side of the
-//! harness: named end-to-end workloads replayed
-//! through any healer with batched ingestion, reported as
-//! machine-readable `BENCH_*.json` via [`json`]. The [`queries`] module
-//! adds the read side: mixed read/write workloads
-//! ([`ScenarioRunner::run_mixed`]) serving configurable query streams
-//! through the served path (per-batch publish plus `FrozenView`
-//! kernels), timed and checked against the live query API.
+//! harness: named end-to-end workloads replayed through any healer with
+//! batched ingestion and a snapshot publish per batch
+//! ([`ScenarioRunner::run`]), reported as machine-readable
+//! `BENCH_*.json` via [`json`]. The [`queries`] module holds the query
+//! streams and the live-answer reference the repo benchmark's read
+//! workloads use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,10 +33,10 @@ use fg_graph::{Graph, NodeId};
 pub use args::{or_exit, write_artifact, BenchArgs};
 pub use latency::LatencyHistogram;
 pub use queries::{
-    answer_api, answers_agree, Answer, Query, QueryKind, QueryMix, QueryStats, QueryStream,
-    QueryWorkload, QUERY_KINDS,
+    answer_api, answers_agree, Answer, Query, QueryKind, QueryMix, QueryStream, QueryWorkload,
+    QUERY_KINDS,
 };
-pub use scenario::{scenario, MixedRunResult, RunResult, Scenario, ScenarioRunner, WORKLOADS};
+pub use scenario::{scenario, RunResult, Scenario, ScenarioRunner, WORKLOADS};
 
 /// The standard workload families the sweeps use.
 pub fn workload(name: &str, n: usize, seed: u64) -> Graph {
@@ -86,8 +85,8 @@ pub fn probe_pairs(universe: usize, salt: u64, count: usize) -> Vec<(NodeId, Nod
 
 /// `numerator / denominator`, or `0.0` when the denominator is not a
 /// positive number — the one divide-by-zero guard every rate in the
-/// harness shares (`events_per_sec`, `queries_per_sec_served`,
-/// per-batch means). Centralized so no report path can emit
+/// harness shares (`events_per_sec`, per-batch means, profile
+/// coverage). Centralized so no report path can emit
 /// `inf`/`NaN` into a JSON artifact when a timed region is empty or
 /// faster than the clock's resolution.
 pub fn rate(numerator: f64, denominator: f64) -> f64 {

@@ -1,27 +1,23 @@
-//! Mixed read/write workloads: configurable query streams interleaved
-//! with churn, answered through the timed served path — one snapshot
-//! publish per write batch, which is the publish cost the server pays,
-//! then the [`FrozenView`] CSR kernels every served read runs on — and
-//! checked against the live `QueryOps` answer as an untimed oracle.
+//! Query streams: configurable read workloads over a churning network,
+//! and the live query API as the reference served answers are checked
+//! against. perfbench draws its read-serve requests from a
+//! [`QueryStream`] and checks what the server answers with
+//! [`answer_api`] and [`answers_agree`].
 //!
 //! The pieces:
 //!
 //! * [`QueryMix`] — a weighted mix spec (`"dist:80,path:10,stretch:10"`)
 //!   over the [`QueryKind`]s the read API serves;
-//! * [`QueryWorkload`] — how many queries to interleave, the mix, the
-//!   seed and the hot-source skew (wired through `--queries` /
-//!   `--query-mix` / `--query-seed` / `--query-hot`);
-//! * [`QueryStats`] — what a mixed run measured: served queries/sec and
-//!   the (always zero) answer-mismatch count, serialised into the bench
-//!   JSON next to the write-side throughput.
+//! * [`QueryWorkload`] — the mix, the seed and the hot-source skew a
+//!   stream draws from;
+//! * [`QueryStream`] — the deterministic generator of [`Query`]s.
 //!
-//! Query endpoints are drawn from the live node set at each interleave
-//! point: sources from a per-block *hot set* (read traffic concentrates
-//! on popular nodes — the skew every distance-oracle serving layer
+//! Query endpoints are drawn from the live node set at each block:
+//! sources from a per-block *hot set* (read traffic concentrates on
+//! popular nodes — the skew every distance-oracle serving layer
 //! exploits), targets uniformly.
 
-use crate::json::Json;
-use fg_core::{FrozenView, GraphView, QueryOps};
+use fg_core::{GraphView, QueryOps};
 use fg_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -144,13 +140,12 @@ impl QueryMix {
     }
 }
 
-/// A mixed read/write workload description for
-/// [`ScenarioRunner::run_mixed`](crate::ScenarioRunner::run_mixed).
+/// A read workload description for a [`QueryStream`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryWorkload {
-    /// Total queries interleaved across the trace (spread evenly over
-    /// the write batches — e.g. 4× the event count is an 80/20
-    /// read/write mix).
+    /// A query count for the stream's caller; nothing in the workspace
+    /// reads it (a [`QueryStream`] emits as many queries as each
+    /// [`QueryStream::block`] asks for).
     pub queries: usize,
     /// The weighted kind mix.
     pub mix: QueryMix,
@@ -243,8 +238,8 @@ impl QueryStream {
     }
 }
 
-/// One query's answer — held so the served path can be compared with
-/// the oracle after it is timed.
+/// One query's answer — held so a served answer can be compared with
+/// the live one ([`answers_agree`]) after it is timed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Answer {
     /// A [`QueryKind::Distance`] answer.
@@ -259,37 +254,8 @@ pub enum Answer {
     Component(bool),
 }
 
-impl Answer {
-    /// Whether the query produced a usable answer (reachable pair, live
-    /// node).
-    pub fn answered(&self) -> bool {
-        match self {
-            Answer::Dist(d) => d.is_some(),
-            Answer::Path(p) => p.is_some(),
-            Answer::Stretch(s) => s.is_some(),
-            Answer::Degree(d) => d.is_some(),
-            Answer::Component(c) => *c,
-        }
-    }
-}
-
-/// The served read path: the [`FrozenView`] CSR kernels over the
-/// snapshot frozen for the current epoch — what the server answers
-/// every read from.
-pub(crate) fn answer_served(view: &FrozenView, q: &Query) -> Answer {
-    match q.kind {
-        QueryKind::Distance => Answer::Dist(view.distance(q.u, q.v)),
-        QueryKind::Path => Answer::Path(view.path(q.u, q.v)),
-        QueryKind::Stretch => Answer::Stretch(view.stretch(q.u, q.v)),
-        QueryKind::Degree => Answer::Degree(view.degree(q.u)),
-        QueryKind::Component => Answer::Component(view.same_component(q.u, q.v)),
-    }
-}
-
-/// The live query API: `QueryOps` per-pair reads (bidirectional BFS).
-/// The oracle mixed runs check the served path against, and the
-/// in-process reference the served (`fg-serve`) differential harnesses
-/// compare against.
+/// The live query API: `QueryOps` per-pair reads (bidirectional BFS) —
+/// the in-process reference served answers are compared against.
 pub fn answer_api(view: &impl GraphView, q: &Query) -> Answer {
     match q.kind {
         QueryKind::Distance => Answer::Dist(view.distance(q.u, q.v)),
@@ -319,93 +285,6 @@ pub fn answers_agree(q: &Query, a: &Answer, b: &Answer, image: &Graph) -> bool {
             _ => false,
         },
         (a, b) => a == b,
-    }
-}
-
-/// What one mixed read/write run measured on the read side.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryStats {
-    /// Queries actually issued (0 when the trace emptied the network).
-    pub queries: usize,
-    /// The canonical mix spec.
-    pub mix: String,
-    /// The stream seed.
-    pub seed: u64,
-    /// Hot-source set size (0 = uniform sources).
-    pub hot: usize,
-    /// Issued queries per kind, in [`QUERY_KINDS`] order.
-    pub by_kind: Vec<(&'static str, usize)>,
-    /// Queries whose answer was `None`/unreachable.
-    pub unanswered: usize,
-    /// Answers that disagreed with the live `QueryOps` oracle — **always
-    /// zero**; recorded (and gated in CI) rather than assumed.
-    pub mismatches: usize,
-    /// Wall-clock seconds publishing the post-batch snapshot, once per
-    /// write batch, by advancing the last one as the server does — the
-    /// publish cost the server pays, charged to
-    /// [`QueryStats::served_qps`].
-    pub freeze_seconds: f64,
-    /// Wall-clock seconds answering from the frozen snapshots.
-    pub served_seconds: f64,
-    /// `queries / (served_seconds + freeze_seconds)` — served throughput
-    /// inclusive of the per-batch freezes.
-    pub served_qps: f64,
-}
-
-impl QueryStats {
-    /// The stats as a JSON object for `BENCH_*.json` reports.
-    pub fn to_json(&self) -> Json {
-        let mut kinds = Json::obj();
-        for (label, count) in &self.by_kind {
-            kinds = kinds.field(*label, Json::Int(*count as i64));
-        }
-        Json::obj()
-            .field("queries", Json::Int(self.queries as i64))
-            .field("mix", Json::str(&self.mix))
-            .field("seed", Json::Int(self.seed as i64))
-            .field("hot", Json::Int(self.hot as i64))
-            .field("by_kind", kinds)
-            .field("unanswered", Json::Int(self.unanswered as i64))
-            .field("mismatches", Json::Int(self.mismatches as i64))
-            .field("freeze_seconds", Json::Float(self.freeze_seconds))
-            .field("served_seconds", Json::Float(self.served_seconds))
-            .field("queries_per_sec_served", Json::Float(self.served_qps))
-    }
-
-    /// Folds one answered block into the tallies.
-    pub(crate) fn record(&mut self, q: &Query, answered: bool, agreed: bool) {
-        self.queries += 1;
-        if let Some(slot) = self.by_kind.iter_mut().find(|(l, _)| *l == q.kind.label()) {
-            slot.1 += 1;
-        }
-        if !answered {
-            self.unanswered += 1;
-        }
-        if !agreed {
-            self.mismatches += 1;
-        }
-    }
-
-    pub(crate) fn empty(wl: &QueryWorkload) -> QueryStats {
-        QueryStats {
-            queries: 0,
-            mix: wl.mix.spec(),
-            seed: wl.seed,
-            hot: wl.hot,
-            by_kind: QUERY_KINDS.iter().map(|k| (k.label(), 0)).collect(),
-            unanswered: 0,
-            mismatches: 0,
-            freeze_seconds: 0.0,
-            served_seconds: 0.0,
-            served_qps: 0.0,
-        }
-    }
-
-    pub(crate) fn finish(&mut self) {
-        self.served_qps = crate::rate(
-            self.queries as f64,
-            self.served_seconds + self.freeze_seconds,
-        );
     }
 }
 
@@ -462,16 +341,5 @@ mod tests {
         sources.sort_unstable();
         sources.dedup();
         assert!(sources.len() <= 4, "hot set leaked: {sources:?}");
-    }
-
-    #[test]
-    fn query_stats_json_shape() {
-        let wl = QueryWorkload::new(10);
-        let mut stats = QueryStats::empty(&wl);
-        stats.finish();
-        let text = stats.to_json().pretty();
-        assert!(text.contains("\"queries_per_sec_served\""));
-        assert!(text.contains("\"mix\": \"dist:80,path:10,stretch:10\""));
-        assert!(text.contains("\"mismatches\": 0"));
     }
 }

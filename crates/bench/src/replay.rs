@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn engine_and_dist_digest_streams_agree() {
-        let sc = scenario("er", 20, 60, 11);
+        let sc = scenario("churn", 20, 60, 11);
         let engine = replay_digests(&sc, ReplayBackend::Engine).expect("engine replay");
         assert_eq!(engine.len(), 60);
         let dist = replay_digests(&sc, ReplayBackend::Dist).expect("dist replay");

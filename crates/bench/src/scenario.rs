@@ -6,22 +6,19 @@
 //! (its own liveness table and insert-only degree counts), so the same
 //! trace can be replayed against the sequential engine, the distributed
 //! protocol and every baseline — and, because generation is excluded from
-//! the timed region, throughput numbers measure the healer alone.
+//! the timed region, throughput numbers measure the healer alone. After
+//! each batch the runner publishes that batch's snapshot as the server
+//! does, timed apart ([`RunResult::publish_seconds`]).
 //!
 //! The registry ([`WORKLOADS`], [`scenario`]) names the standard families:
 //!
 //! | name                 | shape                                               |
 //! |----------------------|-----------------------------------------------------|
-//! | `star`               | star-smash rounds: grow spokes onto a victim, kill it |
-//! | `er`                 | sparse Erdős–Rényi under random deletions + refills |
-//! | `ba`                 | Barabási–Albert under alternating hub kills/growth  |
 //! | `churn`              | p2p membership churn: 50/50 insert/delete, fan ≤ 3  |
 //! | `hub-cascade`        | targeted attack: always kill the max-degree node    |
-//! | `preferential-churn` | churn whose inserts attach degree-proportionally    |
 //! | `partition-then-heal`| two clusters, bridge nodes killed first, then churn |
 
 use crate::json::Json;
-use crate::queries::{answer_api, answer_served, QueryStats, QueryStream, QueryWorkload};
 use fg_core::{EngineError, GraphView, NetworkEvent, SelfHealer};
 use fg_graph::{Graph, NodeId};
 use rand::{Rng, SeedableRng};
@@ -29,15 +26,7 @@ use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// The registered workload names, in registry order.
-pub const WORKLOADS: &[&str] = &[
-    "star",
-    "er",
-    "ba",
-    "churn",
-    "hub-cascade",
-    "preferential-churn",
-    "partition-then-heal",
-];
+pub const WORKLOADS: &[&str] = &["churn", "hub-cascade", "partition-then-heal"];
 
 /// An initial network plus a recorded adversarial trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,54 +245,6 @@ impl TraceBuilder {
 pub fn scenario(name: &str, n: usize, events: usize, seed: u64) -> Scenario {
     let n = n.max(8);
     let (initial, tb) = match name {
-        "star" => {
-            let g = fg_graph::generators::star(n);
-            let mut tb = TraceBuilder::from_graph(&g, seed);
-            // Star-smash rounds: kill the hub, then grow spokes onto a
-            // random survivor and kill it, forever.
-            tb.record_delete(NodeId::new(0));
-            while tb.events.len() < events {
-                let victim = tb.random_alive();
-                for _ in 0..4 {
-                    if tb.events.len() + 1 >= events {
-                        break;
-                    }
-                    tb.record_insert(vec![victim]);
-                }
-                tb.record_delete(victim);
-            }
-            (g, tb)
-        }
-        "er" => {
-            let g = fg_graph::generators::connected_erdos_renyi(n, 8.0 / n as f64, seed);
-            let mut tb = TraceBuilder::from_graph(&g, seed ^ 0x5bd1e995);
-            while tb.events.len() < events {
-                if tb.alive_count() > n / 2 {
-                    let v = tb.random_alive();
-                    tb.record_delete(v);
-                } else {
-                    let nbrs = tb.pick_neighbors(2, false);
-                    tb.record_insert(nbrs);
-                }
-            }
-            (g, tb)
-        }
-        "ba" => {
-            let g = fg_graph::generators::barabasi_albert(n, 2, seed);
-            let mut tb = TraceBuilder::from_graph(&g, seed ^ 0x9e3779b9);
-            let mut step = 0usize;
-            while tb.events.len() < events {
-                if step.is_multiple_of(2) && tb.alive_count() > n / 2 {
-                    let v = tb.max_degree_alive();
-                    tb.record_delete(v);
-                } else {
-                    let nbrs = tb.pick_neighbors(2, true);
-                    tb.record_insert(nbrs);
-                }
-                step += 1;
-            }
-            (g, tb)
-        }
         "churn" => {
             let g = fg_graph::generators::connected_erdos_renyi(n, 8.0 / n as f64, seed);
             let mut tb = TraceBuilder::from_graph(&g, seed ^ 0xc2b2ae35);
@@ -330,22 +271,6 @@ pub fn scenario(name: &str, n: usize, events: usize, seed: u64) -> Scenario {
                 } else {
                     let v = tb.max_degree_alive();
                     tb.record_delete(v);
-                }
-            }
-            (g, tb)
-        }
-        "preferential-churn" => {
-            let g = fg_graph::generators::barabasi_albert(n, 2, seed);
-            let mut tb = TraceBuilder::from_graph(&g, seed ^ 0x165667b1);
-            let floor = (n / 2).max(8);
-            while tb.events.len() < events {
-                if tb.alive_count() > floor && tb.rng.gen_bool(0.5) {
-                    let v = tb.random_alive();
-                    tb.record_delete(v);
-                } else {
-                    let fan = tb.rng.gen_range(1..=3usize);
-                    let nbrs = tb.pick_neighbors(fan, true);
-                    tb.record_insert(nbrs);
                 }
             }
             (g, tb)
@@ -441,6 +366,10 @@ pub struct RunResult {
     pub mean_batch_ms: f64,
     /// Worst per-batch latency in milliseconds.
     pub max_batch_ms: f64,
+    /// Wall-clock seconds publishing each batch's snapshot, advanced
+    /// from the last one as the server does (the superseded snapshot's
+    /// drop included); not part of `wall_seconds`.
+    pub publish_seconds: f64,
     /// Live nodes after the run.
     pub final_nodes: usize,
     /// Live edges after the run.
@@ -472,6 +401,7 @@ impl RunResult {
             .field("events_per_sec", Json::Float(self.events_per_sec))
             .field("mean_batch_ms", Json::Float(self.mean_batch_ms))
             .field("max_batch_ms", Json::Float(self.max_batch_ms))
+            .field("publish_seconds", Json::Float(self.publish_seconds))
             .field("final_nodes", Json::Int(self.final_nodes as i64))
             .field("final_edges", Json::Int(self.final_edges as i64))
             .field("nodes_ever", Json::Int(self.nodes_ever as i64))
@@ -483,24 +413,6 @@ impl RunResult {
                 "max_normalized_churn",
                 Json::Float(self.max_normalized_churn),
             )
-    }
-}
-
-/// A [`RunResult`] plus the read-side measurements of the interleaved
-/// query workload — what [`ScenarioRunner::run_mixed`] returns.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MixedRunResult {
-    /// Write-side throughput, identical in shape to a plain run.
-    pub run: RunResult,
-    /// Read-side throughput and the differential verdict.
-    pub queries: QueryStats,
-}
-
-impl MixedRunResult {
-    /// The combined JSON object: the run's fields plus a `queries`
-    /// sub-object.
-    pub fn to_json(&self) -> Json {
-        self.run.to_json().field("queries", self.queries.to_json())
     }
 }
 
@@ -519,9 +431,14 @@ impl ScenarioRunner {
         }
     }
 
-    /// Replays `scenario` through `healer`, timing each ingestion batch.
-    /// Only event application is timed — trace generation happened when
-    /// the scenario was built. Per-op telemetry is folded from the batch
+    /// Replays `scenario` through `healer`, timing each ingestion batch,
+    /// and publishes every batch's snapshot as the server does: the
+    /// first is one untimed [`GraphView::freeze`], each later one is
+    /// advanced from the last by
+    /// [`FrozenView::advance`](fg_core::FrozenView::advance). Event
+    /// application and publishing are timed apart, so `events_per_sec`
+    /// measures the healer alone — trace generation happened when the
+    /// scenario was built. Per-op telemetry is folded from the batch
     /// reports into the result's aggregate fields.
     ///
     /// # Errors
@@ -534,94 +451,26 @@ impl ScenarioRunner {
         healer: &mut dyn SelfHealer,
     ) -> Result<RunResult, EngineError> {
         let mut tallies = Tallies::default();
-        for batch in scenario.events.chunks(self.batch_size) {
-            let start = Instant::now();
-            let report = healer.apply_batch(batch)?;
-            tallies.fold(start.elapsed().as_secs_f64(), &report);
-        }
-        Ok(tallies.into_result(self, scenario, healer))
-    }
-
-    /// Replays `scenario` while serving an interleaved read workload:
-    /// after every timed write batch, the proportional share of `wl`'s
-    /// queries is answered from the post-batch snapshot, advanced from
-    /// the last batch's by
-    /// [`FrozenView::advance`](fg_core::FrozenView::advance) exactly as
-    /// the server publishes it (the first is one [`GraphView::freeze`]
-    /// before the first batch), through the
-    /// [`FrozenView`](fg_core::FrozenView) CSR kernels per query. The
-    /// publishes and the reads are timed separately.
-    ///
-    /// The live `QueryOps` answer is the untimed oracle: served answers
-    /// must equal it exactly, paths included node for node. The returned
-    /// [`QueryStats`] carry the served rate and the differential verdict
-    /// (`mismatches`, always 0).
-    ///
-    /// Write batches are timed exactly as in [`ScenarioRunner::run`]
-    /// (query work happens strictly between batches), so the write-side
-    /// `events_per_sec` stays comparable across plain and mixed runs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScenarioRunner::run`].
-    pub fn run_mixed(
-        &self,
-        scenario: &Scenario,
-        healer: &mut dyn SelfHealer,
-        wl: &QueryWorkload,
-    ) -> Result<MixedRunResult, EngineError> {
-        let mut tallies = Tallies::default();
-        let mut stream = QueryStream::new(wl);
-        let mut stats = QueryStats::empty(wl);
-        let total_events = scenario.events.len().max(1);
-        let mut applied = 0usize;
-        let mut issued = 0usize;
         let mut frozen = healer.view().freeze();
-
         for batch in scenario.events.chunks(self.batch_size) {
             let start = Instant::now();
             let report = healer.apply_batch(batch)?;
             tallies.fold(start.elapsed().as_secs_f64(), &report);
 
-            // Reads ride between write batches. Like the server, the
-            // served path publishes once per batch by advancing the last
-            // snapshot, and that publish is charged to its throughput.
             let view = healer.view();
             let start = Instant::now();
             frozen = frozen.advance(&view);
-            stats.freeze_seconds += start.elapsed().as_secs_f64();
-            applied += batch.len();
-            let due = wl.queries * applied / total_events;
-            let count = due.saturating_sub(issued);
-            issued = due;
-            if count == 0 {
-                continue;
-            }
-            let block = stream.block(view.image(), count);
-
-            let start = Instant::now();
-            let served: Vec<_> = block.iter().map(|q| answer_served(&frozen, q)).collect();
-            stats.served_seconds += start.elapsed().as_secs_f64();
-
-            // The untimed oracle: the live `QueryOps` answer, which a
-            // served answer must equal outright.
-            for (q, served) in block.iter().zip(&served) {
-                let oracle = answer_api(&view, q);
-                stats.record(q, oracle.answered(), *served == oracle);
-            }
+            tallies.publish += start.elapsed().as_secs_f64();
         }
-        stats.finish();
-        Ok(MixedRunResult {
-            run: tallies.into_result(self, scenario, healer),
-            queries: stats,
-        })
+        Ok(tallies.into_result(self, scenario, healer))
     }
 }
 
-/// Per-batch accounting shared by every runner entry point.
+/// Per-batch accounting for [`ScenarioRunner::run`].
 #[derive(Debug, Default)]
 struct Tallies {
     wall: f64,
+    publish: f64,
     max_batch_ms: f64,
     batches: usize,
     edges_added: u64,
@@ -662,6 +511,7 @@ impl Tallies {
             events_per_sec: crate::rate(events as f64, wall),
             mean_batch_ms: crate::rate(wall * 1e3, batches as f64),
             max_batch_ms: self.max_batch_ms,
+            publish_seconds: self.publish,
             final_nodes: healer.image().node_count(),
             final_edges: healer.image().edge_count(),
             nodes_ever: healer.ghost().nodes_ever(),
@@ -729,51 +579,10 @@ mod tests {
     }
 
     #[test]
-    fn mixed_runs_serve_exact_answers_on_both_backends() {
-        let sc = scenario("churn", 32, 200, 13);
-        let mut wl = QueryWorkload::new(400);
-        wl.mix = crate::QueryMix::parse("dist:60,path:15,stretch:15,deg:5,comp:5").unwrap();
-        wl.hot = 8;
-        let runner = ScenarioRunner::new(25);
-
-        let mut fg = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
-        let engine = runner.run_mixed(&sc, &mut fg, &wl).expect("engine run");
-        let mut net = DistHealer::from_graph(&sc.initial, PlacementPolicy::Adjacent);
-        let dist = runner.run_mixed(&sc, &mut net, &wl).expect("dist run");
-
-        for result in [&engine, &dist] {
-            let q = &result.queries;
-            let backend = &result.run.backend;
-            assert_eq!(q.queries, 400, "{backend}");
-            // A served answer counts as a mismatch unless it equals the
-            // live `QueryOps` answer outright, paths node for node.
-            assert_eq!(q.mismatches, 0, "{backend}: served != live");
-            assert!(
-                q.by_kind.iter().any(|&(kind, n)| kind == "path" && n > 0),
-                "{backend}: no path query was compared"
-            );
-            assert_eq!(q.by_kind.iter().map(|(_, c)| c).sum::<usize>(), q.queries);
-        }
-        // The query stream is deterministic and both backends hold
-        // identical state, so the read side must agree exactly.
-        assert_eq!(engine.queries.by_kind, dist.queries.by_kind);
-        assert_eq!(engine.queries.unanswered, dist.queries.unanswered);
-        // And the write side still folds the same aggregates as a plain
-        // run of the same trace.
-        let mut plain = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
-        let reference = runner.run(&sc, &mut plain).expect("plain run");
-        assert_eq!(engine.run.edges_added, reference.edges_added);
-        assert_eq!(engine.run.max_churn, reference.max_churn);
-        let text = engine.to_json().pretty();
-        assert!(text.contains("\"queries_per_sec_served\""));
-        assert!(text.contains("\"mismatches\": 0"));
-    }
-
-    #[test]
     fn trace_roundtrips_through_text() {
-        let sc = scenario("er", 24, 50, 5);
+        let sc = scenario("churn", 24, 50, 5);
         let text = sc.to_trace();
-        let back = Scenario::read_trace("er", &text).expect("a written trace parses");
+        let back = Scenario::read_trace("churn", &text).expect("a written trace parses");
         assert_eq!(back.initial, sc.initial);
         assert_eq!(back.events, sc.events);
     }
@@ -790,24 +599,22 @@ mod tests {
 
     #[test]
     fn run_result_json_has_throughput_fields() {
-        let sc = scenario("star", 16, 30, 2);
+        let sc = scenario("churn", 16, 30, 2);
         let mut fg = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
         let result = ScenarioRunner::new(10).run(&sc, &mut fg).expect("run");
         let text = result.to_json().pretty();
         assert!(text.contains("\"events_per_sec\""));
-        assert!(text.contains("\"scenario\": \"star\""));
+        assert!(text.contains("\"scenario\": \"churn\""));
     }
 
     #[test]
     fn bench_json_artifacts_round_trip_through_the_parser() {
-        // The full report shape `throughput` writes: config + mixed
-        // results. Every field must survive a parse round-trip (no
-        // `inf`/`NaN` leaks, stable float forms, parseable escapes).
+        // The full report shape `throughput` writes: config + results.
+        // Every field must survive a parse round-trip (no `inf`/`NaN`
+        // leaks, stable float forms, parseable escapes).
         let sc = scenario("churn", 24, 80, 3);
         let mut fg = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
-        let mixed = ScenarioRunner::new(16)
-            .run_mixed(&sc, &mut fg, &QueryWorkload::new(100))
-            .expect("mixed run");
+        let run = ScenarioRunner::new(16).run(&sc, &mut fg).expect("run");
         let report = Json::obj()
             .field("bench", Json::str("throughput"))
             .field(
@@ -816,7 +623,7 @@ mod tests {
                     .field("host_cpus", Json::Int(crate::host_cpus() as i64))
                     .field("events", Json::Int(80)),
             )
-            .field("results", Json::Arr(vec![mixed.to_json()]));
+            .field("results", Json::Arr(vec![run.to_json()]));
         let text = report.pretty();
         let back = Json::parse(&text).expect("artifact must be parseable JSON");
         assert_eq!(back.pretty(), text, "parse→print must be a fixpoint");
@@ -835,6 +642,7 @@ mod tests {
             "events_per_sec",
             "mean_batch_ms",
             "max_batch_ms",
+            "publish_seconds",
             "final_nodes",
             "final_edges",
             "nodes_ever",
@@ -848,26 +656,16 @@ mod tests {
         }
         // Rates render as floats even when the value is whole, so the
         // field's JSON type is stable across runs.
-        for key in ["wall_seconds", "events_per_sec", "mean_batch_ms"] {
+        for key in [
+            "wall_seconds",
+            "events_per_sec",
+            "mean_batch_ms",
+            "publish_seconds",
+        ] {
             assert!(
                 matches!(result.get(key), Some(Json::Float(f)) if f.is_finite()),
                 "{key} must parse back as a finite float"
             );
-        }
-        let queries = result.get("queries").expect("queries sub-object");
-        for key in [
-            "queries",
-            "mix",
-            "seed",
-            "hot",
-            "by_kind",
-            "unanswered",
-            "mismatches",
-            "freeze_seconds",
-            "served_seconds",
-            "queries_per_sec_served",
-        ] {
-            assert!(queries.get(key).is_some(), "queries field {key} missing");
         }
     }
 

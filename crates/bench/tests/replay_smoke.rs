@@ -79,7 +79,7 @@ fn bad_input_exits_2_with_usage() {
     assert!(left.is_empty(), "the master left {left:?} behind");
 
     // A replica reads the master's two addresses before it bootstraps,
-    // and names the line that is not one.
+    // and names the line that is not one; then it opens --golden.
     let replica = node_args("replica", &store, ports, golden);
     refused(REPL_NODE, &replica, "cannot read --ports");
     for (text, expected) in [
@@ -87,6 +87,7 @@ fn bad_input_exits_2_with_usage() {
         ("127.0.0.1:1\n", "line 2: \"\""),
         ("fgq\nfgr\n", "line 1: \"fgq\" is not"),
         ("127.0.0.1:1\nfgr\n", "line 2: \"fgr\" is not"),
+        ("127.0.0.1:1\n127.0.0.1:2\n", "cannot read --golden"),
     ] {
         std::fs::write(ports, text).expect("write ports file");
         refused(REPL_NODE, &replica, expected);
@@ -136,4 +137,8 @@ fn throughput_refuses_an_unknown_flag() {
     let json = json.to_str().unwrap();
     let args = ["--wal", "dir", "--n", "16", "--json", json];
     refused(THROUGHPUT, &args, "unknown flag --wal");
+    // The in-process read mode is gone: its flags are refused, not
+    // ignored.
+    let args = ["--queries", "8", "--n", "16", "--json", json];
+    refused(THROUGHPUT, &args, "unknown flag --queries");
 }

@@ -58,10 +58,7 @@ pub mod prelude {
     pub use fg_baselines::{
         BinaryTreeHealer, CliqueHealer, CycleHealer, ForgivingTree, NoHealer, StarHealer,
     };
-    pub use fg_bench::{
-        scenario, MixedRunResult, QueryMix, QueryStats, QueryWorkload, Scenario, ScenarioRunner,
-        WORKLOADS,
-    };
+    pub use fg_bench::{scenario, QueryMix, QueryWorkload, Scenario, ScenarioRunner, WORKLOADS};
     pub use fg_core::{
         stretch_ratio, BatchReport, EngineError, ForgivingGraph, GraphView, HealOutcome,
         InsertReport, NetworkEvent, PlacementPolicy, QueryOps, RepairReport, SelfHealer, View,

@@ -2,7 +2,8 @@
 //! returns must be **bit-identical** to the in-process read API it
 //! fronts — the epoch-pinned [`FrozenView`] inside the published
 //! snapshot — on both healer backends (the single-machine engine and
-//! the message-passing protocol), over the standard churn trace.
+//! the message-passing protocol), over churn traces and a hub-cascade
+//! trace, whose every publish crosses a hub deletion or its refill.
 //!
 //! Checked per probe pair, over every wire op:
 //!
@@ -125,25 +126,31 @@ fn serve_and_probe<H: SelfHealer>(
 
 #[test]
 fn served_answers_are_bit_identical_on_both_backends() {
-    for (seed, events) in [(3u64, 300), (11, 300), (29, 300), (41, PER_EVENT + 600)] {
-        let sc = scenario("churn", 48, events, seed);
+    for (name, seed, events) in [
+        ("churn", 3u64, 300),
+        ("churn", 11, 300),
+        ("churn", 29, 300),
+        ("churn", 41, PER_EVENT + 600),
+        ("hub-cascade", 43, 600),
+    ] {
+        let sc = scenario(name, 48, events, seed);
         let pairs = probe_pairs(sc.initial.nodes_ever() + sc.events.len(), seed ^ 0xfeed, 24);
 
         let engine = ForgivingGraph::from_graph(&sc.initial).expect("fresh G0");
         let (engine_epoch, _, engine_answers) =
-            serve_and_probe(&format!("engine/{seed}"), engine, &sc.events, &pairs);
+            serve_and_probe(&format!("engine/{name}/{seed}"), engine, &sc.events, &pairs);
 
         let dist = DistHealer::from_graph(&sc.initial, PlacementPolicy::Adjacent);
         let (dist_epoch, _, dist_answers) =
-            serve_and_probe(&format!("dist/{seed}"), dist, &sc.events, &pairs);
+            serve_and_probe(&format!("dist/{name}/{seed}"), dist, &sc.events, &pairs);
 
         // Both backends replayed the same trace: same structural epoch,
         // and — the paper reproduction's core determinism claim carried
         // all the way to the wire — identical served answers.
-        assert_eq!(engine_epoch, dist_epoch, "seed {seed}: epochs diverged");
+        assert_eq!(engine_epoch, dist_epoch, "{name}/{seed}: epochs diverged");
         assert_eq!(
             engine_answers, dist_answers,
-            "seed {seed}: served answers diverged across backends"
+            "{name}/{seed}: served answers diverged across backends"
         );
     }
 }
